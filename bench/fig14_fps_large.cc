@@ -23,7 +23,6 @@
 #include "obs/run_manifest.hh"
 #include "sim/graph_runtime.hh"
 #include "sim/perf_model.hh"
-#include "sim/runtime.hh"
 
 using namespace forms;
 using namespace forms::sim;
@@ -32,8 +31,8 @@ namespace {
 
 /**
  * Per-layer modeled latency/energy breakdown from the functional
- * batched runtime (VGG-flavoured stack, scaled spatial extent so the
- * functional simulation stays affordable).
+ * graph runtime (VGG-flavoured straight-line stack, scaled spatial
+ * extent so the functional simulation stays affordable).
  */
 void
 runtimeBreakdown()
@@ -48,6 +47,8 @@ runtimeBreakdown()
     net.emplace<nn::Flatten>("flat");
     net.emplace<nn::Dense>("fc", 32 * 6 * 6, 100, rng);
 
+    auto graph = compile::lowerNetwork(net);
+    graph.inferShapes({3, 12, 12});
     auto states = snapshotCompress(net, 8, 8);
 
     Tensor batch({4, 3, 12, 12});
@@ -57,7 +58,7 @@ runtimeBreakdown()
     rcfg.mapping.fragSize = 8;
     rcfg.mapping.inputBits = 8;
     rcfg.engine.adcBits = 4;
-    InferenceRuntime rt(net, states, rcfg);
+    GraphRuntime rt(graph, states, rcfg);
 
     RuntimeReport rep;
     rt.forward(batch, &rep);

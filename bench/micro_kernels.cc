@@ -275,9 +275,15 @@ benchEngine()
     CrossbarEngine dispatch_eng(mapped, ecfg);
 
     // Bit-identity across dispatch modes: same outputs, same stats.
+    std::vector<uint64_t> keys(batch.size());
+    for (size_t i = 0; i < keys.size(); ++i)
+        keys[i] = i;
+    auto run = [&](const CrossbarEngine &eng, EngineStats *stats) {
+        return eng.mvmKeyed(batch, 0, batch.size(), keys.data(), stats);
+    };
     EngineStats s_ref, s_got;
-    const auto out_ref = scalar_eng.mvmBatch(batch, &s_ref);
-    const auto out_got = dispatch_eng.mvmBatch(batch, &s_got);
+    const auto out_ref = run(scalar_eng, &s_ref);
+    const auto out_got = run(dispatch_eng, &s_got);
     bool same = out_ref.size() == out_got.size();
     for (size_t i = 0; same && i < out_ref.size(); ++i)
         same = out_ref[i].size() == out_got[i].size() &&
@@ -289,23 +295,17 @@ benchEngine()
         s_ref.bitCycles == s_got.bitCycles &&
         s_ref.adcSamples == s_got.adcSamples;
     if (!same)
-        mismatch("mvmBatch");
+        mismatch("mvmKeyed");
 
     // Throughput proxy: one accumulated double per ADC sample (the
     // tile sweep feeds exactly the converted columns), so bytes =
     // adcSamples * 8 per batch — a stable lower bound across PRs.
     const int64_t bytes =
         static_cast<int64_t>(s_ref.adcSamples * sizeof(double));
-    KernelRow row{"engine_mvmBatch",
+    KernelRow row{"engine_mvmKeyed",
                   static_cast<int64_t>(batch.size()), bytes, 0.0, 0.0};
-    row.scalarNs = nsPerCall([&] {
-        scalar_eng.resetPresentationStream();
-        scalar_eng.mvmBatch(batch);
-    });
-    row.dispatchNs = nsPerCall([&] {
-        dispatch_eng.resetPresentationStream();
-        dispatch_eng.mvmBatch(batch);
-    });
+    row.scalarNs = nsPerCall([&] { run(scalar_eng, nullptr); });
+    row.dispatchNs = nsPerCall([&] { run(dispatch_eng, nullptr); });
     report(row);
 }
 

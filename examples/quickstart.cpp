@@ -80,15 +80,17 @@ main()
 
     // ---- 4. batched in-situ MVMs with zero-skipping -----------------
     // A whole batch of input patches streams through the engine at
-    // once; presentations shard across the thread pool and the result
-    // is bit-identical to a serial mvm() loop.
+    // once; presentations shard across the thread pool, and each one's
+    // result depends only on its inputs and its stream key.
     arch::EngineConfig ecfg;
     ecfg.adcBits = 0;   // lossless ADC: integer-exact
     arch::CrossbarEngine engine(mapped, ecfg);
 
     const Tensor &img = data.test().images;
     std::vector<std::vector<uint32_t>> batch;
+    std::vector<uint64_t> keys;
     for (int n = 0; n < 4; ++n) {
+        keys.push_back(static_cast<uint64_t>(n));
         std::vector<float> patch;
         for (int dy = 0; dy < 3; ++dy)
             for (int dx = 0; dx < 3; ++dx)
@@ -99,7 +101,8 @@ main()
     }
 
     arch::EngineStats stats;
-    auto analog = engine.mvmBatch(batch, &stats);
+    auto analog =
+        engine.mvmKeyed(batch, 0, batch.size(), keys.data(), &stats);
 
     bool exact = true;
     for (size_t n = 0; n < batch.size(); ++n) {

@@ -15,12 +15,12 @@
  * replica engine each. Device variation draws at program time from a
  * stream seeded only by the engine config, so all replicas hold
  * identical conductances; which presentations a replica processes —
- * and how its engine stream is seeked — is the executor's business
+ * and under which stream keys — is the executor's business
  * (sim::StageEngines, docs/SCHEDULING.md), not the pool's.
  *
  * Thread-safety: program() is construction-time only (single thread);
- * after programming, the engines' mvm/mvmBatch calls are internally
- * pool-sharded and safe to drive from the owning runtime. The pool
+ * after programming, the engines are immutable and their mvmKeyed
+ * calls are internally pool-sharded. The pool
  * owns engines and mappings outright; callers borrow raw pointers
  * that stay valid for the pool's lifetime.
  */
@@ -64,9 +64,6 @@ class EnginePool
 
     /** Total crossbars programmed on this chip. */
     int64_t totalCrossbars() const;
-
-    /** Restart every engine's presentation RNG stream at index 0. */
-    void resetPresentationStreams();
 
   private:
     struct Slot

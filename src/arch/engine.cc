@@ -25,8 +25,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                 ? cfg.adcBits
                 : reram::AdcModel::losslessBits(layer.cfg.fragSize,
                                                 layer.cfg.cellBits),
-            cfg.adcFreqGhz}),
-      rng_(cfg.variationSeed)
+            cfg.adcFreqGhz})
 {
     // The mapper sliced magnitudes at the mapping's cell precision;
     // programming them into a device model with a different precision
@@ -47,11 +46,16 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     fullScale_ = static_cast<double>(
         std::max(frag_max, adc_.config().codes() - 1));
 
+    // Program the arrays; device variation draws here, once. Only the
+    // realized conductances snapshotted into tiles_ below outlive the
+    // constructor.
+    Rng rng(cfg_.variationSeed);
+    std::vector<reram::CrossbarArray> arrays;
     const int cells = layer_.cfg.cellsPerWeight();
     for (const auto &xb : layer_.crossbars) {
         reram::CrossbarArray arr(
             std::max(1, xb.rows), std::max(1, xb.weightCols * cells),
-            cfg_.cell, cfg_.cell.variationSigma > 0.0 ? &rng_ : nullptr);
+            cfg_.cell, cfg_.cell.variationSigma > 0.0 ? &rng : nullptr);
         for (int r = 0; r < xb.rows; ++r) {
             for (int wc = 0; wc < xb.weightCols; ++wc) {
                 const auto levels = reram::sliceMagnitude(
@@ -63,7 +67,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                 }
             }
         }
-        arrays_.push_back(std::move(arr));
+        arrays.push_back(std::move(arr));
     }
 
     // Output extent and the ADC-limited per-step time of the slowest
@@ -85,10 +89,10 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     // two the bit loop needs: the hot path then touches only dense
     // arrays and a dispatch table.
     kern_ = &simd::kernels(cfg_.simdMode);
-    tiles_.reserve(arrays_.size());
-    for (size_t xi = 0; xi < arrays_.size(); ++xi) {
+    tiles_.reserve(arrays.size());
+    for (size_t xi = 0; xi < arrays.size(); ++xi) {
         const auto &xb = layer_.crossbars[xi];
-        const auto &arr = arrays_[xi];
+        const auto &arr = arrays[xi];
         XbarTile tile;
         tile.cellCols = xb.weightCols * cells;
         tile.lvl.resize(static_cast<size_t>(xb.rows) *
@@ -165,20 +169,25 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             std::pow(2.0, s * layer_.cfg.cellBits);
 }
 
+namespace {
+
+/** Mix (seed, presentation key) into one RNG stream seed. */
 uint64_t
-CrossbarEngine::presentationSeed(uint64_t seed, uint64_t index)
+presentationSeed(uint64_t seed, uint64_t key)
 {
     // splitmix64 finalizer over a golden-ratio combination: adjacent
     // indices land in statistically independent streams.
-    uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (index + 1);
+    uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (key + 1);
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
 }
 
+} // namespace
+
 void
 CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
-                       uint64_t pres_index, std::vector<double> &out,
+                       uint64_t key, std::vector<double> &out,
                        EngineStats &stats) const
 {
     out.assign(static_cast<size_t>(outputExtent_), 0.0);
@@ -192,7 +201,7 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     // hoisting the division out of the column loop is bitwise neutral.
     const int adc_top = adc_.config().codes() - 1;
     const double adc_step = fullScale_ / static_cast<double>(adc_top);
-    Rng pres_rng(presentationSeed(cfg_.variationSeed, pres_index));
+    Rng pres_rng(presentationSeed(cfg_.variationSeed, key));
     const simd::Kernels &k = *kern_;
 
     // Per-thread scratch: mvmOne runs concurrently on pool workers and
@@ -302,65 +311,11 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     stats.merge(local);
 }
 
-std::vector<double>
-CrossbarEngine::mvm(const std::vector<uint32_t> &inputs,
-                    EngineStats *stats)
-{
-    // Semantically a batch of one — same presentation stream, same
-    // stats merge — without mvmBatch's batch-container scaffolding.
-    std::vector<double> out;
-    EngineStats local;
-    mvmOne(inputs, nextPresentation_++, out, local);
-    if (stats)
-        stats->merge(local);
-    return out;
-}
-
-std::vector<std::vector<double>>
-CrossbarEngine::mvmBatch(const std::vector<std::vector<uint32_t>> &batch,
-                         EngineStats *stats, ThreadPool *pool)
-{
-    return mvmRange(batch, 0, batch.size(), stats, pool);
-}
-
-std::vector<std::vector<double>>
-CrossbarEngine::mvmRange(const std::vector<std::vector<uint32_t>> &batch,
-                         size_t lo, size_t hi, EngineStats *stats,
-                         ThreadPool *pool)
-{
-    FORMS_ASSERT(lo <= hi && hi <= batch.size(),
-                 "mvmRange: slice [%zu, %zu) outside batch of %zu", lo,
-                 hi, batch.size());
-    const size_t count = hi - lo;
-    std::vector<std::vector<double>> outs(count);
-    std::vector<EngineStats> per(count);
-    const uint64_t base = nextPresentation_;
-    nextPresentation_ += count;
-    if (count == 0)
-        return outs;
-
-    ThreadPool &tp = pool ? *pool : ThreadPool::global();
-    tp.parallelFor(
-        0, static_cast<int64_t>(count), 1,
-        [&](int64_t i, int) {
-            const size_t s = static_cast<size_t>(i);
-            mvmOne(batch[lo + s], base + static_cast<uint64_t>(i),
-                   outs[s], per[s]);
-        });
-
-    // Merge per-presentation stats in presentation order: identical
-    // floating-point accumulation order to the serial loop.
-    if (stats)
-        for (const auto &s : per)
-            stats->merge(s);
-    return outs;
-}
-
 std::vector<std::vector<double>>
 CrossbarEngine::mvmKeyed(const std::vector<std::vector<uint32_t>> &batch,
                          size_t lo, size_t hi, const uint64_t *keys,
                          EngineStats *stats, EngineStats *per_out,
-                         ThreadPool *pool)
+                         ThreadPool *pool) const
 {
     FORMS_ASSERT(lo <= hi && hi <= batch.size(),
                  "mvmKeyed: slice [%zu, %zu) outside batch of %zu", lo,
@@ -379,9 +334,8 @@ CrossbarEngine::mvmKeyed(const std::vector<std::vector<uint32_t>> &batch,
             mvmOne(batch[lo + s], keys[lo + s], outs[s], per[s]);
         });
 
-    // Same fold order as mvmRange: per-presentation stats merge in
-    // ascending presentation order, so a keyed run whose keys equal
-    // the engine-lifetime indices is bit-identical to mvmRange.
+    // Per-presentation stats merge in ascending presentation order:
+    // the fold of a serial loop, for any thread count.
     if (stats)
         for (const auto &s : per)
             stats->merge(s);
@@ -408,9 +362,12 @@ quantizeActivations(const std::vector<float> &x, int bits,
                     float *scale_out)
 {
     FORMS_ASSERT(bits >= 1 && bits <= 31, "bad activation bits");
+    // The scale spans the finite values only: one +inf must not blow
+    // it up to inf (and every finite code down to zero).
     float mx = 0.0f;
     for (float v : x)
-        mx = std::max(mx, v);
+        if (std::isfinite(v))
+            mx = std::max(mx, v);
     const uint32_t qmax = (1u << bits) - 1;
     const float scale = mx > 0.0f ? mx / static_cast<float>(qmax) : 1.0f;
     std::vector<uint32_t> q(x.size(), 0);
@@ -418,6 +375,12 @@ quantizeActivations(const std::vector<float> &x, int bits,
         const float v = x[i];
         if (v <= 0.0f)
             continue;   // post-ReLU activations are nonnegative
+        if (!std::isfinite(v)) {
+            // NaN or +inf: the top code, as the static grid saturates
+            // them, never lround of a non-finite value.
+            q[i] = qmax;
+            continue;
+        }
         q[i] = std::min<uint32_t>(
             qmax, static_cast<uint32_t>(std::lround(v / scale)));
     }

@@ -60,8 +60,8 @@ struct EngineConfig
      * every analog column sum at read time (0 = noiseless reads).
      * Unlike device variation (drawn once at program time), this is
      * per-presentation randomness; its stream is keyed by
-     * (variationSeed, presentation index) so batched execution is
-     * bit-identical to serial regardless of thread count.
+     * (variationSeed, presentation key) so execution is bit-identical
+     * regardless of thread count or batch split.
      */
     double readNoiseSigma = 0.0;
 
@@ -139,94 +139,32 @@ class CrossbarEngine
     CrossbarEngine(const MappedLayer &layer, EngineConfig cfg);
 
     /**
-     * One matrix-vector product. `inputs` is indexed by the layer's
-     * natural input indices and quantized to cfg.inputBits.
-     * Equivalent to mvmBatch() with a batch of one: it consumes the
-     * same presentation stream and merges stats the same way (both
-     * call the mvmOne() core), asserted by tests/test_runtime.cc.
+     * Matrix-vector products over the slice [lo, hi) of `batch`, the
+     * engine's one execution entry. Each presentation batch[j] is
+     * indexed by the layer's natural input indices (values on the
+     * cfg.inputBits grid) and draws its read-noise RNG from the stream
+     * keyed by (variationSeed, keys[j]). Output j - lo holds signed
+     * outputs in integer level units, indexed by the natural output
+     * index (the referenceMvm convention).
      *
-     * @return signed outputs in integer level units, indexed by the
-     *         natural output index (same convention as referenceMvm).
-     */
-    std::vector<double> mvm(const std::vector<uint32_t> &inputs,
-                            EngineStats *stats = nullptr);
-
-    /**
-     * Batched matrix-vector products: run every presentation in
-     * `batch`, sharding them across `pool` (null = the process-wide
-     * pool). Per-presentation statistics are merged into `stats` in
-     * presentation order via EngineStats::merge, and each
-     * presentation's RNG stream is keyed by (variationSeed, global
-     * presentation index), so the outputs AND the merged stats are
-     * bit-identical to calling mvm() in a serial loop — for any
-     * thread count.
-     *
-     * Presentation indices are consecutive across calls on one
-     * engine (an engine-lifetime stream); see
-     * resetPresentationStream().
-     */
-    std::vector<std::vector<double>>
-    mvmBatch(const std::vector<std::vector<uint32_t>> &batch,
-             EngineStats *stats = nullptr, ThreadPool *pool = nullptr);
-
-    /**
-     * Batched matrix-vector products over the contiguous slice
-     * [lo, hi) of `batch`: identical to mvmBatch() on just that
-     * slice. The replicated-stage path (sim/stage_kernels.hh) hands
-     * each replica engine its own slice without copying the batch;
-     * the slice consumes stream positions [pos, pos + (hi - lo)) of
-     * this engine's presentation stream, so callers seek first when
-     * the slice's global presentation indices do not start at the
-     * engine's current position.
-     */
-    std::vector<std::vector<double>>
-    mvmRange(const std::vector<std::vector<uint32_t>> &batch, size_t lo,
-             size_t hi, EngineStats *stats = nullptr,
-             ThreadPool *pool = nullptr);
-
-    /**
-     * Batched matrix-vector products over the slice [lo, hi) of
-     * `batch` with explicit per-presentation stream keys: presentation
-     * batch[j] draws its read-noise RNG from stream index keys[j] —
-     * the same (variationSeed, index) mix the implicit engine-lifetime
-     * stream uses — and the engine's presentation counter is neither
-     * read nor advanced. Two engines programmed from the same config
-     * therefore produce bit-identical outputs for the same key,
-     * regardless of what either engine executed before: the mechanism
-     * behind the serving layer's batch-invariance contract
-     * (docs/SERVING.md).
-     *
-     * Per-presentation stats merge into `stats` in ascending j order,
-     * exactly like mvmRange. When `per` is non-null it is an
-     * accumulator array parallel to `batch`: presentation j's stats
-     * additionally merge into per[j] — the per-request stats channel.
+     * A programmed engine is immutable, so the result depends only on
+     * (inputs, keys): two engines programmed from the same config give
+     * bit-identical outputs for the same key, whatever either ran
+     * before — the mechanism behind the serving layer's
+     * batch-invariance contract (docs/SERVING.md) and the replica
+     * slicing of sim::StageEngines. Presentations shard across `pool`
+     * (null = the process-wide pool) and per-presentation stats merge
+     * into `stats` in ascending j order, so outputs AND merged stats
+     * are bit-identical for any thread count, and running [lo, k) then
+     * [k, hi) into one accumulator equals running [lo, hi). When
+     * `per` is non-null it is an accumulator array parallel to
+     * `batch`: presentation j's stats additionally merge into per[j] —
+     * the per-request stats channel.
      */
     std::vector<std::vector<double>>
     mvmKeyed(const std::vector<std::vector<uint32_t>> &batch, size_t lo,
              size_t hi, const uint64_t *keys, EngineStats *stats = nullptr,
-             EngineStats *per = nullptr, ThreadPool *pool = nullptr);
-
-    /** Restart the per-presentation RNG stream at index 0. */
-    void resetPresentationStream() { nextPresentation_ = 0; }
-
-    /** Next index of the engine-lifetime presentation stream. */
-    uint64_t presentationStreamPos() const { return nextPresentation_; }
-
-    /**
-     * Seek the presentation stream to `index`. Replica engines of one
-     * replicated stage process presentation-index-keyed slices of
-     * each micro-batch; seeking keeps every replica's per-presentation
-     * RNG keyed by the same global index the single-engine run would
-     * use — the mechanism behind the replication bit-identity
-     * contract (DESIGN.md §5).
-     */
-    void seekPresentationStream(uint64_t index)
-    {
-        nextPresentation_ = index;
-    }
-
-    /** Mix (seed, presentation index) into one RNG stream seed. */
-    static uint64_t presentationSeed(uint64_t seed, uint64_t index);
+             EngineStats *per = nullptr, ThreadPool *pool = nullptr) const;
 
     /** Effective ADC resolution in use (lossless when cfg was 0). */
     int adcBitsInUse() const { return adc_.config().bits; }
@@ -245,10 +183,10 @@ class CrossbarEngine
   private:
     /**
      * Execute one presentation. Const and self-contained (all scratch
-     * is local, the programmed arrays are only read), so concurrent
+     * is local, the programmed tiles are only read), so concurrent
      * calls from pool workers are safe.
      */
-    void mvmOne(const std::vector<uint32_t> &inputs, uint64_t pres_index,
+    void mvmOne(const std::vector<uint32_t> &inputs, uint64_t key,
                 std::vector<double> &out, EngineStats &stats) const;
 
     /**
@@ -269,15 +207,12 @@ class CrossbarEngine
     EngineConfig cfg_;
     reram::AdcModel adc_;
     double fullScale_;             //!< ADC full-scale in level units
-    std::vector<reram::CrossbarArray> arrays_;
     std::vector<XbarTile> tiles_;
     std::vector<double> bitWeight_;   //!< 2^p per input bit position
     std::vector<double> cellWeight_;  //!< 2^(s*cellBits) per cell slice
     const simd::Kernels *kern_ = nullptr;
-    Rng rng_;                      //!< program-time variation source
     int outputExtent_ = 0;         //!< 1 + max natural output index
     double worstStepNs_ = 0.0;     //!< slowest crossbar's per-step time
-    uint64_t nextPresentation_ = 0;
     int64_t faultyCrossbars_ = 0;  //!< tiles overlaid with any fault
     int64_t faultyCells_ = 0;      //!< stuck/drifted cells (used window)
 };

@@ -45,8 +45,7 @@
  *
  * so the result is a pure function of (graph, config) — never of
  * thread timing or iteration order. Determinism is load-bearing:
- * per-chip EngineStats presentation streams and merge order follow
- * the partition, and replica stats merge in presentation order
+ * per-chip EngineStats merge order follows the partition, and replica stats merge in presentation order
  * (DESIGN.md §5, docs/SCHEDULING.md).
  *
  * Thread-safety: partition() is a pure function and re-entrant. A

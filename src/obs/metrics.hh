@@ -1,6 +1,6 @@
 /**
  * @file
- * Unified metrics registry shared by all three executors.
+ * Unified metrics registry shared by both executors.
  *
  * Before this existed every aggregate lived in its own struct with
  * its own export path: EngineStats fields surfaced (or didn't)

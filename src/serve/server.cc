@@ -189,6 +189,21 @@ Server::runBatch(std::vector<Pending> batch)
         // Status::Requeued for requests out of retry budget).
         requeueBatch(std::move(batch), f.chip());
         return;
+    } catch (...) {
+        // Any other backend error fails this batch alone: its
+        // requests resolve Status::Failed and the batcher keeps
+        // serving the queue.
+        for (Pending &p : batch) {
+            Response r;
+            r.status = Status::Failed;
+            r.requestId = p.id;
+            r.requeues = p.requeues;
+            p.promise.set_value(std::move(r));
+        }
+        if (cfg_.metrics)
+            cfg_.metrics->counterAdd("serve.failed",
+                                     static_cast<uint64_t>(n));
+        return;
     }
     FORMS_ASSERT(out.dim(0) == static_cast<int64_t>(n) &&
                      per_request.size() == n,

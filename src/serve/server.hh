@@ -24,7 +24,9 @@
  * ServerConfig::queueCapacity; a submit() that finds it full resolves
  * immediately with Status::Rejected (load shedding — the request is
  * never queued). A submit() after shutdown() resolves with
- * Status::ShutDown.
+ * Status::ShutDown. A backend exception fails only the batch it hit:
+ * ChipFailure requeues it, anything else resolves its requests with
+ * Status::Failed.
  *
  * Thread-safety: submit() and shutdown() are safe from any thread,
  * concurrently. One internal batcher thread owns the backend, so the
@@ -67,6 +69,13 @@ enum class Status
      * no healthy fleet left to retry on within budget.
      */
     Requeued,
+
+    /**
+     * The backend threw something other than ChipFailure while
+     * serving the request's batch; the batch's requests resolve with
+     * this status (no logits) and the server keeps serving.
+     */
+    Failed,
 };
 
 /**

@@ -151,15 +151,14 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
 
 Tensor
 runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
-         const Tensor &batch, ThreadPool &tp, int input_bits,
-         std::vector<arch::EngineStats> &stats,
-         const PhaseSink &on_phase, const uint64_t *image_ids,
-         arch::EngineStats *per_image, int64_t per_image_stride)
+         const Tensor &batch, const uint64_t *image_ids, ThreadPool &tp,
+         int input_bits, std::vector<arch::EngineStats> &stats,
+         const PhaseSink &on_phase, arch::EngineStats *per_image,
+         int64_t per_image_stride)
 {
     FORMS_ASSERT(stats.size() == execs.size(),
                  "runGraph: stats accumulators must parallel execs");
-    FORMS_ASSERT(!per_image || image_ids,
-                 "runGraph: per-image stats require image ids");
+    FORMS_ASSERT(image_ids, "runGraph: per-image stream ids are required");
 
     // Reference-counted value slots, indexed by node id. The input
     // node aliases the caller's batch; every other node owns its
@@ -193,8 +192,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
             out.ref = &batch;
             break;
         case compile::Op::Conv: {
-            StageEngines se{e.replicas, {}};
-            se.imageIds = image_ids;
+            StageEngines se{e.replicas, {}, image_ids};
             if (per_image)
                 se.perImage =
                     per_image + static_cast<int64_t>(idx) * per_image_stride;
@@ -210,8 +208,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
             break;
         }
         case compile::Op::Dense: {
-            StageEngines se{e.replicas, {}};
-            se.imageIds = image_ids;
+            StageEngines se{e.replicas, {}, image_ids};
             if (per_image)
                 se.perImage =
                     per_image + static_cast<int64_t>(idx) * per_image_stride;

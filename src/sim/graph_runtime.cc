@@ -63,17 +63,14 @@ GraphRuntime::allocation() const
 void
 GraphRuntime::resetPresentationStreams()
 {
-    pools_[0].resetPresentationStreams();
     nextImageId_ = 0;
 }
 
 Tensor
 GraphRuntime::forward(const Tensor &batch, RuntimeReport *report)
 {
-    // Consecutive ids from the runtime-lifetime counter make every
-    // node's stream keys equal the engine-lifetime presentation
-    // indices the unkeyed path would have used — forward() stays
-    // bit-identical to its pre-keyed behavior.
+    // Consecutive ids from the runtime-lifetime counter: the k-th
+    // image overall draws from stream id k.
     const int64_t n = batch.dim(0);
     std::vector<uint64_t> ids(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i)
@@ -101,8 +98,8 @@ GraphRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
     std::vector<arch::EngineStats> per_image;
     if (per_request)
         per_image.resize(execs_.size() * static_cast<size_t>(n));
-    Tensor result = runGraph(graph_, execs_, batch, tp,
-                             cfg_.mapping.inputBits, node_stats, {}, ids,
+    Tensor result = runGraph(graph_, execs_, batch, ids, tp,
+                             cfg_.mapping.inputBits, node_stats, {},
                              per_request ? per_image.data() : nullptr, n);
     if (per_request)
         recordPerImageRows(execs_, per_image.data(), n, n, *per_request);

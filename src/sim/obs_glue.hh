@@ -5,7 +5,7 @@
  * obs/ sits below arch/ and sim/ in the subsystem map (it only knows
  * names and numbers), so the mapping from EngineStats / RuntimeReport
  * / PipelineReport fields onto metric names lives here on the sim
- * side. All three executors feed the registry through these helpers,
+ * side. Both executors feed the registry through these helpers,
  * which is what makes metrics.json comparable across them — one name
  * means one thing everywhere (docs/OBSERVABILITY.md lists the names).
  *

@@ -53,18 +53,14 @@ PipelineRuntime::totalCrossbars() const
 void
 PipelineRuntime::resetPresentationStreams()
 {
-    for (auto &p : pools_)
-        p.resetPresentationStreams();
     nextImageId_ = 0;
 }
 
 Tensor
 PipelineRuntime::forward(const Tensor &batch, PipelineReport *report)
 {
-    // Consecutive ids from the runtime-lifetime counter make every
-    // node's stream keys equal the engine-lifetime presentation
-    // indices the unkeyed path would have used — forward() stays
-    // bit-identical to its pre-keyed behavior.
+    // Consecutive ids from the runtime-lifetime counter: the k-th
+    // image overall draws from stream id k.
     const int64_t n = batch.dim(0);
     std::vector<uint64_t> ids(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i)
@@ -131,8 +127,8 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
                         sizeof(float));
 
         mb_out[static_cast<size_t>(m)] = runGraph(
-            graph_, execs_, micro, tp, cfg_.runtime.mapping.inputBits,
-            node_stats,
+            graph_, execs_, micro, ids + lo, tp,
+            cfg_.runtime.mapping.inputBits, node_stats,
             [&](size_t idx, int replica, const PhaseSample &ps) {
                 const int chip = execs_[idx].replicaChips
                     [static_cast<size_t>(replica)];
@@ -153,7 +149,6 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
                 phases[static_cast<size_t>(chip)][static_cast<size_t>(m)]
                     .push_back(pi);
             },
-            ids + lo,
             per_request ? per_image.data() + lo : nullptr, images);
     }
     if (per_request)

@@ -1,42 +1,20 @@
 /**
  * @file
- * Batched multi-threaded inference runtime (the "whole chip" view).
+ * Shared vocabulary of the crossbar runtimes: the construction config
+ * (RuntimeConfig) and the latency / energy / host-time report
+ * (RuntimeReport) of sim::GraphRuntime (sim/graph_runtime.hh) and
+ * sim::PipelineRuntime (sim/pipeline_runtime.hh), plus the
+ * snapshotCompress() helper that readies a network's weights for
+ * mapping without training.
  *
- * InferenceRuntime takes a compressed network, maps every conv/dense
- * layer onto crossbars, programs one CrossbarEngine per layer, and
- * streams whole batches through the layer graph:
- *
- *     im2col -> quantize -> mvmBatch -> dequantize(+bias)
- *            -> activation / pooling -> next layer
- *
- * All stages shard across one ThreadPool. Determinism contract: the
- * forward output and the per-layer EngineStats are bit-identical for
- * any thread count — presentations carry RNG streams keyed by
- * (variationSeed, presentation index), per-presentation stats merge in
- * presentation order, and the tensor kernels only parallelize over
- * disjoint-write axes (see DESIGN.md §2 for the input-encoding
- * assumptions).
- *
- * Supported layer graph: straight-line Conv2D, Dense, ReLU,
- * MaxPool2D, AvgPool2D, Flatten chains. Networks with BatchNorm2D or
- * ResidualBlock layers (the ResNet zoo) are rejected here by design:
- * lower them with compile::lowerNetwork, fold BN with
- * compile::foldBatchNorm, and execute the resulting DAG on
- * sim::GraphRuntime (sim/graph_runtime.hh), which shares these stage
- * kernels and the same determinism contract.
- *
- * Thread-safety: one forward()/accuracy() call at a time per runtime
- * (engines advance mutable presentation streams); work shards across
- * the configured ThreadPool internally. Distinct runtimes are
- * independent. The network and layer states are borrowed and must
- * outlive the runtime, unmutated.
+ * A straight-line network runs on the graph runtimes like any other:
+ * lower it with compile::lowerNetwork and execute the graph.
  */
 
 #ifndef FORMS_SIM_RUNTIME_HH
 #define FORMS_SIM_RUNTIME_HH
 
 #include <map>
-#include <memory>
 #include <string>
 
 #include "arch/engine.hh"
@@ -144,69 +122,11 @@ struct RuntimeReport
     double modelEnergyPj() const;
 };
 
-/** Executes a compressed, mapped network batch-at-a-time. */
-class InferenceRuntime
-{
-  public:
-    /**
-     * Map and program every conv/dense layer of `net`.
-     *
-     * @param net the network topology (walked layer by layer)
-     * @param layers per-layer compression state (e.g.
-     *        AdmmCompressor::layers()); matched to network layers by
-     *        weight-tensor identity
-     * @param cfg geometry, engine knobs and the pool to shard on
-     */
-    InferenceRuntime(nn::Network &net,
-                     std::vector<admm::LayerState> &layers,
-                     RuntimeConfig cfg);
-    ~InferenceRuntime();
-
-    InferenceRuntime(const InferenceRuntime &) = delete;
-    InferenceRuntime &operator=(const InferenceRuntime &) = delete;
-
-    /**
-     * Run a whole NCHW batch through the layer graph on the simulated
-     * crossbars. Returns the logits (batch x classes).
-     */
-    Tensor forward(const Tensor &batch, RuntimeReport *report = nullptr);
-
-    /** Fraction of argmax(logits) == label over a labelled batch. */
-    double accuracy(const Tensor &images, const std::vector<int> &labels,
-                    RuntimeReport *report = nullptr);
-
-    /**
-     * Restart every programmed engine's presentation RNG stream and
-     * the runtime's image-id counter at 0. With readNoiseSigma > 0,
-     * image ids (and so the noise draws) otherwise continue across
-     * forward() calls; reset before a run that must reproduce an
-     * earlier one.
-     */
-    void resetPresentationStreams();
-
-    /** Number of executable stages (programmed + functional). */
-    size_t stages() const;
-
-    /** Number of crossbar-programmed (conv/dense) stages. */
-    size_t programmedStages() const;
-
-    /** Total crossbars programmed across all layers. */
-    int64_t totalCrossbars() const;
-
-  private:
-    struct Stage;
-    std::vector<std::unique_ptr<Stage>> stages_;
-    RuntimeConfig cfg_;
-    uint64_t nextImageId_ = 0;   //!< forward()'s per-image stream ids
-
-    ThreadPool &pool() const;
-};
-
 /**
  * Direct-programming helper for benches and tests: build per-layer
  * compression state (fragment polarization + magnitude quantization,
  * no training and no pruning) for every prunable parameter of `net`,
- * ready to hand to InferenceRuntime. The network weights are projected
+ * ready to hand to a runtime. The network weights are projected
  * in place so they satisfy the sign constraints the mapper assumes.
  */
 std::vector<admm::LayerState>

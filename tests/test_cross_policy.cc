@@ -79,7 +79,8 @@ TEST_P(CrossPolicyTest, MapAndExecuteExactly)
     for (auto &v : inputs)
         v = static_cast<uint32_t>(rng.below(1u << 12));
 
-    auto analog = engine.mvm(inputs);
+    const uint64_t key = 0;
+    auto analog = engine.mvmKeyed({inputs}, 0, 1, &key).front();
     auto reference = arch::referenceMvm(mapped, inputs);
     ASSERT_EQ(analog.size(), reference.size());
     for (size_t i = 0; i < analog.size(); ++i)

@@ -94,8 +94,12 @@ TEST(EndToEnd, CompressMapExecute)
     }
     const auto &q = batch.back();
 
+    std::vector<uint64_t> keys(batch.size());
+    for (size_t i = 0; i < keys.size(); ++i)
+        keys[i] = i;
     arch::EngineStats stats;
-    auto analog_batch = engine.mvmBatch(batch, &stats);
+    auto analog_batch =
+        engine.mvmKeyed(batch, 0, batch.size(), keys.data(), &stats);
     ASSERT_EQ(analog_batch.size(), batch.size());
     for (size_t b = 0; b < batch.size(); ++b) {
         auto reference = arch::referenceMvm(mapped, batch[b]);

@@ -1,175 +1,67 @@
 /**
  * @file
- * Batched runtime tests: the determinism contract. mvmBatch across
- * N threads must be bit-identical (outputs AND merged stats) to a
- * serial mvm loop — including with ADC quantization, device variation
- * and transient read noise enabled — and a whole-network forward must
- * be bit-identical across thread counts.
+ * Runtime vocabulary tests on a straight-line network: snapshotCompress
+ * readies a sequential net for mapping, the net lowers through
+ * compile::lowerNetwork onto sim::GraphRuntime, and the whole-network
+ * forward is bit-identical across thread counts (logits AND merged
+ * per-layer stats) with ADC quantization, device variation and read
+ * noise enabled. RuntimeReport rows merge across forwards, and
+ * resetPresentationStreams replays a noisy run exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include "compile/passes.hh"
 #include "nn/dataset.hh"
 #include "nn/zoo.hh"
-#include "sim/activation_model.hh"
-#include "sim/runtime.hh"
+#include "sim/graph_runtime.hh"
 #include "stats_testutil.hh"
 
 namespace forms {
 namespace {
 
-/** Polarized, quantized random conv layer mapped onto crossbars. */
-arch::MappedLayer
-buildMappedLayer(int frag, Tensor &weight, Tensor &grad, uint64_t seed)
+/** Compress + lower the tiny sequential conv net, ready to program. */
+struct CompiledTinyNet
 {
-    Rng rng(seed);
-    weight.fillGaussian(rng, 0.0f, 0.4f);
+    std::unique_ptr<nn::Network> net;
+    compile::Graph graph;
+    std::vector<admm::LayerState> states;
 
-    admm::LayerState st;
-    st.name = "runtime-test";
-    st.param = {"w", &weight, &grad, true, false};
-    st.plan = admm::FragmentPlan::forConv(
-        16, 16, 3, frag, admm::PolarizationPolicy::CMajor);
-    admm::WeightView v = admm::WeightView::conv(weight);
-    st.signs = admm::computeSigns(v, st.plan);
-    admm::projectPolarization(v, st.plan, *st.signs);
-    admm::QuantSpec q;
-    q.bits = 8;
-    st.quantScale = admm::projectQuantize(v, q);
-
-    arch::MappingConfig mcfg;
-    mcfg.xbarRows = 64;
-    mcfg.xbarCols = 64;
-    mcfg.fragSize = frag;
-    mcfg.inputBits = 16;
-    return arch::mapLayer(st, mcfg);
-}
-
-std::vector<std::vector<uint32_t>>
-samplePresentations(size_t count, size_t rows, uint64_t seed)
-{
-    sim::ActivationModel act = sim::ActivationModel::calibratedResNet50();
-    Rng rng(seed);
-    std::vector<std::vector<uint32_t>> batch;
-    batch.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        batch.push_back(act.sampleVector(rng, rows));
-    return batch;
-}
-
-/** Serial mvm loop vs mvmBatch on `threads` threads: bit-identical. */
-void
-checkBatchMatchesSerial(arch::EngineConfig ecfg, int threads)
-{
-    static Tensor weight({16, 16, 3, 3}), grad({16, 16, 3, 3});
-    const arch::MappedLayer mapped =
-        buildMappedLayer(8, weight, grad, 2024);
-    const auto batch = samplePresentations(33, 16 * 9, 7);
-
-    // Two engines with identical construction: program-time variation
-    // draws are identical.
-    arch::CrossbarEngine serial_engine(mapped, ecfg);
-    arch::CrossbarEngine batch_engine(mapped, ecfg);
-
-    arch::EngineStats serial_stats;
-    std::vector<std::vector<double>> serial_out;
-    for (const auto &p : batch)
-        serial_out.push_back(serial_engine.mvm(p, &serial_stats));
-
-    ThreadPool pool(threads);
-    arch::EngineStats batch_stats;
-    const auto batch_out =
-        batch_engine.mvmBatch(batch, &batch_stats, &pool);
-
-    ASSERT_EQ(batch_out.size(), serial_out.size());
-    for (size_t i = 0; i < batch_out.size(); ++i) {
-        ASSERT_EQ(batch_out[i].size(), serial_out[i].size());
-        for (size_t j = 0; j < batch_out[i].size(); ++j)
-            EXPECT_EQ(batch_out[i][j], serial_out[i][j])
-                << "presentation " << i << " output " << j;
+    explicit CompiledTinyNet(uint64_t seed)
+    {
+        Rng rng(seed);
+        net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
+        states = sim::snapshotCompress(*net, 4, 8);
+        graph = compile::lowerNetwork(*net);
+        graph.inferShapes({1, 12, 12});
     }
-    expectStatsIdentical(batch_stats, serial_stats);
-    EXPECT_EQ(batch_stats.presentations, batch.size());
+};
+
+sim::RuntimeConfig
+tinyConfig()
+{
+    sim::RuntimeConfig rcfg;
+    rcfg.mapping.xbarRows = 16;
+    rcfg.mapping.xbarCols = 16;
+    rcfg.mapping.fragSize = 4;
+    rcfg.mapping.inputBits = 12;
+    return rcfg;
 }
 
-TEST(MvmBatch, BitIdenticalToSerialLossless)
+TEST(Runtime, SnapshotCompressCoversEveryPrunableLayer)
 {
-    arch::EngineConfig ecfg;
-    ecfg.adcBits = 0;
-    checkBatchMatchesSerial(ecfg, 4);
-}
-
-TEST(MvmBatch, BitIdenticalToSerialWithAdcQuantization)
-{
-    arch::EngineConfig ecfg;
-    ecfg.adcBits = 4;
-    checkBatchMatchesSerial(ecfg, 4);
-}
-
-TEST(MvmBatch, BitIdenticalToSerialWithDeviceVariation)
-{
-    arch::EngineConfig ecfg;
-    ecfg.adcBits = 4;
-    ecfg.cell.variationSigma = 0.1;
-    checkBatchMatchesSerial(ecfg, 4);
-}
-
-TEST(MvmBatch, BitIdenticalToSerialWithReadNoise)
-{
-    // Read noise is the per-presentation stochastic path: its streams
-    // are keyed by (seed, presentation index), not by thread.
-    arch::EngineConfig ecfg;
-    ecfg.adcBits = 5;
-    ecfg.cell.variationSigma = 0.1;
-    ecfg.readNoiseSigma = 0.05;
-    checkBatchMatchesSerial(ecfg, 4);
-    checkBatchMatchesSerial(ecfg, 7);
-}
-
-TEST(MvmBatch, SerialMvmIsBatchOfOne)
-{
-    static Tensor weight({16, 16, 3, 3}), grad({16, 16, 3, 3});
-    const arch::MappedLayer mapped =
-        buildMappedLayer(8, weight, grad, 11);
-    const auto batch = samplePresentations(3, 16 * 9, 5);
-
-    arch::CrossbarEngine a(mapped, {});
-    arch::CrossbarEngine b(mapped, {});
-    for (const auto &p : batch) {
-        const auto via_mvm = a.mvm(p);
-        const auto via_batch = b.mvmBatch({p});
-        ASSERT_EQ(via_batch.size(), 1u);
-        EXPECT_EQ(via_mvm, via_batch.front());
+    CompiledTinyNet c(30);
+    ASSERT_EQ(c.states.size(), 3u);   // conv1, conv2, fc
+    for (const admm::LayerState &st : c.states) {
+        EXPECT_FALSE(st.name.empty());
+        EXPECT_TRUE(st.signs.has_value()) << st.name;
+        EXPECT_GT(st.quantScale, 0.0f) << st.name;
     }
 }
 
-TEST(MvmBatch, ReadNoisePerturbsButPreservesDeterminism)
+TEST(Runtime, ForwardBitIdenticalAcrossThreadCounts)
 {
-    static Tensor weight({16, 16, 3, 3}), grad({16, 16, 3, 3});
-    const arch::MappedLayer mapped =
-        buildMappedLayer(8, weight, grad, 12);
-    const auto batch = samplePresentations(4, 16 * 9, 9);
-
-    arch::EngineConfig noisy;
-    noisy.adcBits = 0;
-    noisy.readNoiseSigma = 0.2;
-    arch::CrossbarEngine clean_engine(mapped, {});
-    arch::CrossbarEngine noisy_engine(mapped, noisy);
-    arch::CrossbarEngine noisy_again(mapped, noisy);
-
-    const auto clean = clean_engine.mvmBatch(batch);
-    const auto first = noisy_engine.mvmBatch(batch);
-    const auto second = noisy_again.mvmBatch(batch);
-    EXPECT_EQ(first, second);   // same seed, same stream
-    EXPECT_NE(first, clean);    // the noise actually does something
-}
-
-TEST(InferenceRuntime, ForwardBitIdenticalAcrossThreadCounts)
-{
-    Rng rng(31);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
-    ASSERT_EQ(states.size(), 3u);   // conv1, conv2, fc
+    CompiledTinyNet c(31);
 
     nn::DatasetConfig dcfg;
     dcfg.classes = 4;
@@ -181,11 +73,7 @@ TEST(InferenceRuntime, ForwardBitIdenticalAcrossThreadCounts)
     dcfg.seed = 77;
     nn::SyntheticImageDataset data(dcfg);
 
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
+    sim::RuntimeConfig rcfg = tinyConfig();
     rcfg.engine.adcBits = 3;
     rcfg.engine.cell.variationSigma = 0.1;
     rcfg.engine.readNoiseSigma = 0.02;
@@ -193,12 +81,12 @@ TEST(InferenceRuntime, ForwardBitIdenticalAcrossThreadCounts)
     ThreadPool serial_pool(1), parallel_pool(4);
 
     rcfg.pool = &serial_pool;
-    sim::InferenceRuntime serial_rt(*net, states, rcfg);
+    sim::GraphRuntime serial_rt(c.graph, c.states, rcfg);
     rcfg.pool = &parallel_pool;
-    sim::InferenceRuntime parallel_rt(*net, states, rcfg);
+    sim::GraphRuntime parallel_rt(c.graph, c.states, rcfg);
 
-    EXPECT_EQ(serial_rt.stages(), net->size());
-    EXPECT_EQ(serial_rt.programmedStages(), 3u);
+    EXPECT_EQ(serial_rt.programmedNodes(), 3u);
+    EXPECT_GE(serial_rt.nodes(), serial_rt.programmedNodes());
     EXPECT_GT(serial_rt.totalCrossbars(), 0);
 
     sim::RuntimeReport serial_rep, parallel_rep;
@@ -220,25 +108,19 @@ TEST(InferenceRuntime, ForwardBitIdenticalAcrossThreadCounts)
     EXPECT_GT(serial_rep.modelEnergyPj(), 0.0);
 }
 
-TEST(InferenceRuntime, ResetPresentationStreamsReproducesNoisyRuns)
+TEST(Runtime, ResetPresentationStreamsReproducesNoisyRuns)
 {
-    Rng rng(34);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
-
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
+    CompiledTinyNet c(34);
+    sim::RuntimeConfig rcfg = tinyConfig();
     rcfg.engine.readNoiseSigma = 0.05;
-    sim::InferenceRuntime rt(*net, states, rcfg);
+    sim::GraphRuntime rt(c.graph, c.states, rcfg);
 
+    Rng rng(35);
     Tensor batch({2, 1, 12, 12});
     batch.fillUniform(rng, 0.0f, 1.0f);
 
-    // With read noise, presentation indices continue across calls, so
-    // a repeat differs — until the streams are reset.
+    // With read noise, image ids continue across calls, so a repeat
+    // differs — until the streams are reset.
     const Tensor first = rt.forward(batch);
     const Tensor drifted = rt.forward(batch);
     EXPECT_FALSE(first.equals(drifted));
@@ -247,19 +129,12 @@ TEST(InferenceRuntime, ResetPresentationStreamsReproducesNoisyRuns)
     EXPECT_TRUE(first.equals(replay));
 }
 
-TEST(InferenceRuntime, ReportAccumulatesAcrossForwards)
+TEST(Runtime, ReportAccumulatesAcrossForwards)
 {
-    Rng rng(33);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
+    CompiledTinyNet c(33);
+    sim::GraphRuntime rt(c.graph, c.states, tinyConfig());
 
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
-    sim::InferenceRuntime rt(*net, states, rcfg);
-
+    Rng rng(36);
     Tensor batch({2, 1, 12, 12});
     batch.fillUniform(rng, 0.0f, 1.0f);
 
@@ -276,11 +151,9 @@ TEST(InferenceRuntime, ReportAccumulatesAcrossForwards)
     EXPECT_EQ(rep.layers[0].stats.presentations, 2 * first_layer_pres);
 }
 
-TEST(InferenceRuntime, AccuracyRunsAndIsBounded)
+TEST(Runtime, AccuracyRunsAndIsBounded)
 {
-    Rng rng(32);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
+    CompiledTinyNet c(32);
 
     nn::DatasetConfig dcfg;
     dcfg.classes = 4;
@@ -292,13 +165,7 @@ TEST(InferenceRuntime, AccuracyRunsAndIsBounded)
     dcfg.seed = 78;
     nn::SyntheticImageDataset data(dcfg);
 
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
-
-    sim::InferenceRuntime rt(*net, states, rcfg);
+    sim::GraphRuntime rt(c.graph, c.states, tinyConfig());
     const double acc =
         rt.accuracy(data.test().images, data.test().labels);
     EXPECT_GE(acc, 0.0);

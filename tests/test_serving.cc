@@ -22,6 +22,7 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "compile/passes.hh"
@@ -533,6 +534,60 @@ TEST(Serving, ShutdownDrainsQueuedWorkThenRefuses)
     ASSERT_EQ(late.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     EXPECT_EQ(late.get().status, serve::Status::ShutDown);
+}
+
+/** Throws a plain (non-ChipFailure) error on its first `fail` calls. */
+class ThrowingBackend : public EchoBackend
+{
+  public:
+    std::atomic<int> fail{1};
+
+    Tensor run(const Tensor &batch, const uint64_t *ids,
+               std::vector<sim::RuntimeReport> &per) override
+    {
+        if (fail.fetch_sub(1) > 0)
+            throw std::runtime_error("backend fault");
+        return EchoBackend::run(batch, ids, per);
+    }
+};
+
+TEST(Serving, BackendExceptionFailsOnlyItsBatch)
+{
+    // A backend error that is not a chip failure must resolve the
+    // batch it hit with Status::Failed — not escape the batcher
+    // thread into std::terminate — and later requests still serve.
+    ThrowingBackend backend;
+    obs::MetricsRegistry metrics;
+    serve::ServerConfig sc;
+    sc.maxBatch = 1;
+    sc.metrics = &metrics;
+    serve::Server server(backend, sc);
+
+    serve::Response failed = server.submit(Tensor({1}, 0.0f), 7).get();
+    EXPECT_EQ(failed.status, serve::Status::Failed);
+    EXPECT_EQ(failed.requestId, 7u);
+    EXPECT_EQ(failed.logits.numel(), 0);
+
+    std::vector<std::future<serve::Response>> futs;
+    for (int i = 0; i < 4; ++i)
+        futs.push_back(server.submit(Tensor({1}, 0.0f),
+                                     static_cast<uint64_t>(10 + i)));
+    for (int i = 0; i < 4; ++i) {
+        serve::Response r = futs[static_cast<size_t>(i)].get();
+        ASSERT_EQ(r.status, serve::Status::Ok) << "request " << i;
+        EXPECT_EQ(r.logits.data()[0], static_cast<float>(10 + i));
+    }
+    server.shutdown();
+
+    uint64_t failed_count = 0, completed = 0;
+    for (const auto &[name, v] : metrics.snapshot().counters) {
+        if (name == "serve.failed")
+            failed_count = v;
+        if (name == "serve.completed")
+            completed = v;
+    }
+    EXPECT_EQ(failed_count, 1u);
+    EXPECT_EQ(completed, 4u);
 }
 
 TEST(Serving, MetricNamesAreDocumented)

@@ -83,15 +83,15 @@ runtimeBench()
     RuntimeReport serial_rep, parallel_rep;
     double serial_ms = 0.0, parallel_ms = 0.0;
     for (int r = 0; r < repeats; ++r) {
-        RuntimeReport srep, prep;
+        PipelineReport srep, prep;
         serial_rt.forward(batch, &srep);
         parallel_rt.forward(batch, &prep);
-        if (r == 0 || srep.wallMs < serial_ms)
-            serial_ms = srep.wallMs;
-        if (r == 0 || prep.wallMs < parallel_ms)
-            parallel_ms = prep.wallMs;
-        serial_rep = srep;
-        parallel_rep = prep;
+        if (r == 0 || srep.nodes.wallMs < serial_ms)
+            serial_ms = srep.nodes.wallMs;
+        if (r == 0 || prep.nodes.wallMs < parallel_ms)
+            parallel_ms = prep.nodes.wallMs;
+        serial_rep = srep.nodes;
+        parallel_rep = prep.nodes;
     }
     const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms
                                              : 0.0;

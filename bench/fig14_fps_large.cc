@@ -60,8 +60,9 @@ runtimeBreakdown()
     rcfg.engine.adcBits = 4;
     GraphRuntime rt(graph, states, rcfg);
 
-    RuntimeReport rep;
-    rt.forward(batch, &rep);
+    PipelineReport prep;
+    rt.forward(batch, &prep);
+    const RuntimeReport &rep = prep.nodes;
 
     Table t({"Layer", "Crossbars", "Presentations", "ADC samples",
              "Modeled time (us)", "Energy (nJ)"});
@@ -121,11 +122,11 @@ runGraphNet(const std::string &name, nn::Network &net, int64_t images)
     rt.forward(batch);   // warm-up
     constexpr int repeats = 3;
     for (int i = 0; i < repeats; ++i) {
-        RuntimeReport rep;
+        PipelineReport rep;
         rt.forward(batch, &rep);
-        if (i == 0 || rep.wallMs < r.wallMs) {
-            r.wallMs = rep.wallMs;
-            r.rep = rep;
+        if (i == 0 || rep.nodes.wallMs < r.wallMs) {
+            r.wallMs = rep.nodes.wallMs;
+            r.rep = rep.nodes;
         }
     }
     r.fps = r.wallMs > 0.0

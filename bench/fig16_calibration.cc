@@ -140,7 +140,7 @@ main()
     // Idealized reference: per-presentation max scales.
     RuntimeConfig ideal_cfg = benchConfig();
     GraphRuntime ideal_rt(graph, states, ideal_cfg);
-    RuntimeReport ideal_rep;
+    PipelineReport ideal_rep;
     const double ideal_acc = ideal_rt.accuracy(test, labels, &ideal_rep);
 
     std::vector<CalibResult> results;
@@ -161,13 +161,13 @@ main()
             scfg.scaleMode = arch::ScaleMode::Static;
             scfg.calibration = &table;
             GraphRuntime rt(graph, states, scfg);
-            RuntimeReport rep;
+            PipelineReport rep;
 
             CalibResult r;
             r.policy = policy;
             r.calibImages = calib_images;
             r.accuracy = rt.accuracy(test, labels, &rep);
-            r.clipFraction = reportClipFraction(rep);
+            r.clipFraction = reportClipFraction(rep.nodes);
             r.tableEntries = table.size();
             results.push_back(r);
         }

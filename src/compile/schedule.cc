@@ -172,23 +172,13 @@ Schedule::partition(const Graph &g, const ScheduleConfig &cfg)
     const int chips = std::min(
         requested, n + eligible * (max_width - 1));
 
-    // Resolve per-chip cost vectors: explicit cfg.chipSpecs wins,
-    // then the legacy scalar capacity vector, then a homogeneous
-    // fleet. The DP only sees the model-dependent *effective*
-    // capacity — compute throughput for Macs, throughput x ADC rate
-    // for the ADC-latency models — and the inverse link weight.
+    // Resolve per-chip cost vectors: cfg.chipSpecs, else a
+    // homogeneous fleet. The DP only sees the model-dependent
+    // *effective* capacity — compute throughput for Macs, throughput
+    // x ADC rate for the ADC-latency models — and the inverse link
+    // weight.
     std::vector<ChipSpec> specs = cfg.chipSpecs;
-    if (specs.empty()) {
-        if (!cfg.capacity.empty() &&
-            static_cast<int>(cfg.capacity.size()) != cfg.chips) {
-            fatal("partition: capacity vector has %zu entries for %d "
-                  "chips", cfg.capacity.size(), cfg.chips);
-        }
-        specs.assign(static_cast<size_t>(chips), ChipSpec{});
-        for (size_t s = 0;
-             s < cfg.capacity.size() && s < specs.size(); ++s)
-            specs[s].capacity = cfg.capacity[s];
-    } else if (static_cast<int>(specs.size()) != cfg.chips) {
+    if (!specs.empty() && static_cast<int>(specs.size()) != cfg.chips) {
         fatal("partition: chipSpecs vector has %zu entries for %d "
               "chips", specs.size(), cfg.chips);
     }

@@ -14,10 +14,11 @@
  *   - a **replicated** stage spans R consecutive chips and is
  *     anchored on exactly one matrix node (it may also carry cheap
  *     functional neighbors — graph input, relu, pooling — so trivial
- *     prefix work never strands a chip). Every replica chip programs
- *     the anchor's weights into its own arch::EnginePool and
- *     processes a deterministic, presentation-index-keyed slice of
- *     each micro-batch (replica r of R takes the contiguous
+ *     prefix work never strands a chip). Every replica chip holds
+ *     the anchor's weights (the executor programs them once — the
+ *     replicas' conductances are identical) and processes a
+ *     deterministic, presentation-index-keyed slice of each
+ *     micro-batch (replica r of R takes the contiguous
  *     presentation range [floor(P*r/R), floor(P*(r+1)/R)) — see
  *     sim/stage_kernels.hh), so an early layer that would otherwise
  *     dominate the critical path is spread R ways, ISAAC/FORMS-style.
@@ -134,22 +135,12 @@ struct ScheduleConfig
     int chips = 1;
 
     /**
-     * Relative compute capacity per chip (empty = all equal). The
-     * balance objective divides each chip's work by its capacity, so
-     * a chip with capacity 2.0 is assigned roughly twice the work.
-     * When non-empty it must have exactly `chips` positive entries
-     * (partition() fatal()s otherwise); if the chip count is clamped
-     * to a smaller live node count, trailing entries are ignored.
-     */
-    std::vector<double> capacity;
-
-    /**
      * Heterogeneous per-chip cost vectors (empty = homogeneous fleet).
-     * Takes precedence over the legacy `capacity` vector when both
-     * are set; must have exactly `chips` entries otherwise
-     * (partition() fatal()s). An all-default vector reproduces the
-     * homogeneous partitions bit-for-bit (tests/test_schedule.cc pins
-     * this).
+     * When non-empty it must have exactly `chips` entries
+     * (partition() fatal()s otherwise); if the chip count is clamped
+     * to a smaller live node count, trailing entries are ignored. An
+     * all-default vector reproduces the homogeneous partitions
+     * bit-for-bit (tests/test_schedule.cc pins this).
      */
     std::vector<ChipSpec> chipSpecs;
 
@@ -211,7 +202,7 @@ class Schedule
     /**
      * Partition `g` into pipeline stages over cfg.chips chips (see
      * file header for the objective). Requires inferShapes() to have
-     * run; fatal()s on empty shapes or a malformed capacity vector.
+     * run; fatal()s on empty shapes or a malformed chipSpecs vector.
      */
     static Schedule partition(const Graph &g, const ScheduleConfig &cfg);
 
@@ -248,8 +239,7 @@ class Schedule
 
     /**
      * Node ids per chip, each list in topological order. A replicated
-     * node appears in the list of every chip of its stage (each chip
-     * programs its own replica engine).
+     * node appears in the list of every chip of its stage.
      */
     const std::vector<std::vector<int>> &chipNodes() const
     {
@@ -279,9 +269,8 @@ class Schedule
 
     /**
      * Resolved per-chip cost vectors, one per used chip: the
-     * validated cfg.chipSpecs, or specs synthesized from the legacy
-     * capacity vector (defaults elsewhere). The pipeline runtime
-     * scales its per-chip timing by these.
+     * validated cfg.chipSpecs (defaults when empty). The pipeline
+     * runtime scales its per-chip timing by these.
      */
     const std::vector<ChipSpec> &chipSpecs() const { return chipSpecs_; }
 

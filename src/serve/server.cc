@@ -132,9 +132,15 @@ Server::batcherLoop()
                     break;
             }
 
-            const size_t take =
-                std::min(queue_.size(),
-                         static_cast<size_t>(cfg_.maxBatch));
+            // The longest FIFO prefix (up to maxBatch) sharing the
+            // oldest request's shape: a mis-shaped request never
+            // joins, or spoils, another request's batch.
+            const size_t limit = std::min(
+                queue_.size(), static_cast<size_t>(cfg_.maxBatch));
+            const Shape &shape = queue_.front().image.shape();
+            size_t take = 1;
+            while (take < limit && queue_[take].image.shape() == shape)
+                ++take;
             batch.reserve(take);
             for (size_t i = 0; i < take; ++i) {
                 batch.push_back(std::move(queue_.front()));
@@ -169,8 +175,7 @@ Server::runBatch(std::vector<Pending> batch)
     for (size_t i = 0; i < n; ++i) {
         FORMS_ASSERT(batch[i].image.shape() == sample,
                      "serve: request %llu's image shape differs from "
-                     "the batch's — all requests to one server must "
-                     "share a shape",
+                     "the batch's — the batcher groups by shape",
                      static_cast<unsigned long long>(batch[i].id));
         std::memcpy(stacked.data() +
                         static_cast<int64_t>(i) * sample_elems,

@@ -8,8 +8,8 @@
  * deadline — a batch flushes when it reaches ServerConfig::maxBatch
  * images or when the oldest queued request has waited
  * ServerConfig::maxDelayUs, whichever comes first — and runs each
- * batch on a serve::Backend (a GraphRuntime or PipelineRuntime
- * adapter, serve/backends.hh). Each request's result comes back
+ * batch on a serve::Backend (a sim::PipelineRuntime adapter,
+ * serve/backends.hh). Each request's result comes back
  * through the std::future returned by submit().
  *
  * Determinism contract (docs/SERVING.md): a request's logits and
@@ -17,7 +17,7 @@
  * programmed network) — NOT on which batch the request lands in, what
  * else is in that batch, or the order requests arrived. The backend
  * keys every per-presentation RNG stream by the stable request id
- * (sim::GraphRuntime::forwardRequests), so dynamically batched
+ * (sim::PipelineRuntime::forwardRequests), so dynamically batched
  * results are bit-identical to a single-request run with the same id.
  *
  * Admission control: the pending queue is bounded by
@@ -26,7 +26,9 @@
  * never queued). A submit() after shutdown() resolves with
  * Status::ShutDown. A backend exception fails only the batch it hit:
  * ChipFailure requeues it, anything else resolves its requests with
- * Status::Failed.
+ * Status::Failed. A batch only ever holds requests of one sample
+ * shape, so a mis-shaped request (which the runtime rejects) is
+ * served in a batch of its own and fails alone.
  *
  * Thread-safety: submit() and shutdown() are safe from any thread,
  * concurrently. One internal batcher thread owns the backend, so the
@@ -188,8 +190,8 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Submit one image (a single sample, e.g. CHW — all requests to
-     * one server must share a shape) under an explicit request id.
+     * Submit one image (a single sample, e.g. CHW, of the shape the
+     * backend's network takes) under an explicit request id.
      * The id keys the request's RNG streams: the same (image, id)
      * yields bit-identical logits whatever batch it lands in. Ids
      * need not be unique, but two in-flight requests sharing an id

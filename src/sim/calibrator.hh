@@ -79,7 +79,8 @@ class Calibrator
 {
   public:
     /**
-     * @param graph compiled (and BN-folded) DAG to calibrate
+     * @param graph compiled (and BN-folded), shape-inferred DAG to
+     *        calibrate
      * @param layers per-layer compression state, as for GraphRuntime
      * @param rcfg the deployment runtime config: calibration observes
      *        through the same engines/geometry it will deploy on

@@ -11,24 +11,23 @@ namespace forms::sim {
 namespace {
 
 /**
- * Program one matrix node's replicas: every hosting chip maps and
- * programs its own engine from the same compression state, so the
- * programmed conductances are identical across replicas (device
- * variation draws from a stream seeded only by the engine config).
- * Fills the exec's engine/replica/mapped pointers.
+ * Map and program one matrix node: one mapping and one engine, the
+ * engine heap-pinned next to the mapping it borrows. Conductances are
+ * a pure function of (state, config) — device variation draws from a
+ * stream seeded only by the engine config, and the fault identity is
+ * the node id — so every replica chip of a replicated stage would
+ * have programmed exactly this engine.
  */
 void
-programReplicas(NodeExec &e, int id, admm::LayerState &st,
-                const RuntimeConfig &cfg,
-                std::vector<arch::EnginePool> &pools)
+programNode(NodeExec &e, int id, admm::LayerState &st,
+            const RuntimeConfig &cfg)
 {
     // Dynamic span name, so only built when a session is live (the
     // FORMS_TRACE_SCOPE macro would pay the concatenation always).
     obs::TraceScope trace_scope(
         obs::traceEnabled() ? "program " + e.name : std::string());
-    // One mapping serves every replica — the quantize-and-map result
-    // is a pure function of (state, config).
-    arch::MappedLayer mapped = arch::mapLayer(st, cfg.mapping);
+    e.mapped = std::make_unique<arch::MappedLayer>(
+        arch::mapLayer(st, cfg.mapping));
     arch::EngineConfig ecfg = cfg.engine;
     if (cfg.faults) {
         // Fault identity is the graph node id: stable across
@@ -37,27 +36,20 @@ programReplicas(NodeExec &e, int id, admm::LayerState &st,
         ecfg.faultKey = static_cast<uint64_t>(id);
         if (cfg.remapFaults)
             e.remap = arch::remapFaultyCrossbars(
-                mapped, *cfg.faults, ecfg.faultKey, e.name.c_str());
+                *e.mapped, *cfg.faults, ecfg.faultKey, e.name.c_str());
     }
-    for (int chip : e.replicaChips) {
-        arch::EnginePool &pool = pools[static_cast<size_t>(chip)];
-        pool.program(id, mapped, ecfg);
-        e.replicas.push_back(pool.engine(id));
-    }
-    e.engine = e.replicas.front();
-    e.mapped = pools[static_cast<size_t>(e.chip)].mapped(id);
+    e.engine = std::make_unique<arch::CrossbarEngine>(*e.mapped, ecfg);
 }
 
 } // namespace
 
 std::vector<NodeExec>
-buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
+buildNodeExecs(const compile::Graph &g, const compile::Schedule &sched,
                std::vector<admm::LayerState> &layers,
-               const RuntimeConfig &cfg,
-               std::vector<arch::EnginePool> &pools,
-               const std::function<std::vector<int>(int)> &chips_of)
+               const RuntimeConfig &cfg)
 {
     FORMS_TRACE_SCOPE("sim::buildNodeExecs");
+    const std::vector<int> topo = g.topoOrder();
     std::vector<NodeExec> execs;
     execs.reserve(topo.size());
     for (int id : topo) {
@@ -67,17 +59,15 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
         e.nodeId = id;
         e.name = n.name;
         e.inputs = n.inputs;
-        e.replicaChips = chips_of(id);
-        FORMS_ASSERT(!e.replicaChips.empty(),
-                     "graph exec: node hosted by no chip");
-        for (int chip : e.replicaChips) {
-            FORMS_ASSERT(chip >= 0 &&
-                             static_cast<size_t>(chip) < pools.size(),
-                         "graph exec: node assigned outside the chip "
-                         "pools — was the schedule built from this "
-                         "graph?");
-        }
-        e.chip = e.replicaChips.front();
+        // Every chip of the node's stage hosts it: one chip for
+        // ordinary stages, R consecutive chips for a replicated stage
+        // (which holds exactly one matrix node).
+        const int s = sched.stageOf(id);
+        FORMS_ASSERT(s >= 0, "graph exec: node %d missing from the "
+                             "schedule — was it built from this graph?",
+                     id);
+        for (int c = 0; c < sched.stageWidth(s); ++c)
+            e.replicaChips.push_back(sched.stageFirstChip(s) + c);
 
         switch (n.op) {
         case compile::Op::Conv: {
@@ -87,7 +77,7 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
                 fatal("graph exec: no compression state for conv "
                       "node '%s'", n.name.c_str());
             }
-            programReplicas(e, id, *st, cfg, pools);
+            programNode(e, id, *st, cfg);
             e.outC = n.conv->outChannels();
             e.k = n.conv->kernel();
             e.stride = n.conv->stride();
@@ -110,7 +100,7 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
                 fatal("graph exec: no compression state for dense "
                       "node '%s'", n.name.c_str());
             }
-            programReplicas(e, id, *st, cfg, pools);
+            programNode(e, id, *st, cfg);
             e.outC = n.dense->outDim();
             e.bias = tensorToVector(n.dense->bias());
             e.scale = resolveStageScale(cfg, n.name, n.inScale);
@@ -175,6 +165,22 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
             ++slots[static_cast<size_t>(in)].remaining;
     ++slots[static_cast<size_t>(g.output())].remaining;
 
+    // A matrix node's engine, replica count, stream ids and sinks.
+    auto stageEngines = [&](size_t idx) {
+        StageEngines se;
+        se.engine = execs[idx].engine.get();
+        se.replicas = static_cast<int>(execs[idx].replicaChips.size());
+        se.imageIds = image_ids;
+        if (per_image)
+            se.perImage =
+                per_image + static_cast<int64_t>(idx) * per_image_stride;
+        if (on_phase)
+            se.onPhase = [&on_phase, idx](int r, const PhaseSample &ps) {
+                on_phase(idx, r, ps);
+            };
+        return se;
+    };
+
     for (size_t idx = 0; idx < execs.size(); ++idx) {
         NodeExec &e = execs[idx];
         // Wall-clock span per node; the dynamic name is only built
@@ -192,15 +198,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
             out.ref = &batch;
             break;
         case compile::Op::Conv: {
-            StageEngines se{e.replicas, {}, image_ids};
-            if (per_image)
-                se.perImage =
-                    per_image + static_cast<int64_t>(idx) * per_image_stride;
-            if (on_phase)
-                se.onPhase = [&on_phase, idx](int r,
-                                              const PhaseSample &ps) {
-                    on_phase(idx, r, ps);
-                };
+            const StageEngines se = stageEngines(idx);
             out.owned = convStage(in(0), se, *e.mapped, e.bias,
                                   e.chanScale, e.outC, e.k, e.stride,
                                   e.pad, input_bits, e.scale, tp,
@@ -208,15 +206,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
             break;
         }
         case compile::Op::Dense: {
-            StageEngines se{e.replicas, {}, image_ids};
-            if (per_image)
-                se.perImage =
-                    per_image + static_cast<int64_t>(idx) * per_image_stride;
-            if (on_phase)
-                se.onPhase = [&on_phase, idx](int r,
-                                              const PhaseSample &ps) {
-                    on_phase(idx, r, ps);
-                };
+            const StageEngines se = stageEngines(idx);
             out.owned = denseStage(in(0), se, *e.mapped, e.bias,
                                    e.outC, input_bits, e.scale, tp,
                                    &stats[idx]);

@@ -1,15 +1,16 @@
 /**
  * @file
- * Shared DAG-execution core of the graph-based runtimes.
+ * DAG-execution core of sim::PipelineRuntime, the simulator's one
+ * executor (a single-chip sim::GraphRuntime is its one-stage case).
  *
- * GraphRuntime (one engine set) and PipelineRuntime (per-chip engine
- * pools) execute a compiled graph identically — the pipeline only
- * adds a partition and a timing model on top. Both build their node
- * list with buildNodeExecs() and stream batches with runGraph(), so
- * the op dispatch, the refcounted buffer walk and the Add-join
- * accumulation order live in exactly one place and the two runtimes
- * cannot drift apart numerically (their bit-identity is asserted by
- * tests/test_pipeline_runtime.cc and bench_fig15_multichip).
+ * buildNodeExecs() programs each matrix node once — its mapping plus
+ * one immutable engine — and records the chips its schedule stage
+ * occupies; runGraph() streams a batch through the DAG. The op
+ * dispatch, the refcounted buffer walk and the Add-join accumulation
+ * order live only here, so every chip count, micro-batch size and
+ * replication factor executes the same arithmetic (pinned by
+ * tests/test_pipeline_runtime.cc, tests/test_golden.cc and
+ * bench_fig15_multichip).
  *
  * Thread-safety: buildNodeExecs() and runGraph() must be called from
  * one thread per node list (programmed nodes reuse a per-node im2col
@@ -20,37 +21,40 @@
 #define FORMS_SIM_GRAPH_EXEC_HH
 
 #include <functional>
+#include <memory>
 
-#include "arch/chip.hh"
+#include "arch/engine.hh"
 #include "arch/remap.hh"
-#include "compile/graph.hh"
+#include "compile/schedule.hh"
 #include "sim/runtime.hh"
 #include "sim/stage_kernels.hh"
 
 namespace forms::sim {
 
 /**
- * One executable node of a compiled DAG. Engines and mappings are
- * owned by the arch::EnginePool the node was programmed into; the
- * exec only points at them, so it is freely movable/copyable.
+ * One executable node of a compiled DAG. A programmed node owns its
+ * mapping and its one engine; both are heap-pinned (the engine
+ * borrows the mapping), so the exec is movable but not copyable.
  */
 struct NodeExec
 {
     compile::Op op = compile::Op::Input;
     int nodeId = -1;
-    int chip = 0;              //!< primary chip (0 for single-chip runtimes)
     std::string name;
     std::vector<int> inputs;   //!< producer node ids
 
-    // Conv / Dense: the programmed hardware, owned by each hosting
-    // chip's pool. `engine` is the primary replica (== replicas[0]);
-    // a replicated matrix node (compile::Schedule stage width > 1)
-    // carries one engine per replica chip, all programmed from the
-    // same weights (see sim::StageEngines for the slicing contract).
-    const arch::CrossbarEngine *engine = nullptr;
-    std::vector<const arch::CrossbarEngine *> replicas;
-    std::vector<int> replicaChips;   //!< parallel to replicas
-    const arch::MappedLayer *mapped = nullptr;
+    /**
+     * Chips hosting the node, primary first: its schedule stage's
+     * chips (several for a replicated stage). Timing and per-chip
+     * accounting only — every replica's slice runs on `engine`, which
+     * is bitwise what R identically programmed engines would compute
+     * (see sim::StageEngines for the slicing contract).
+     */
+    std::vector<int> replicaChips;
+
+    // Conv / Dense: the programmed hardware (null for other ops).
+    std::unique_ptr<arch::MappedLayer> mapped;
+    std::unique_ptr<arch::CrossbarEngine> engine;
     arch::RemapReport remap;   //!< spare-remap outcome (empty w/o faults)
     int outC = 0, k = 0, stride = 0, pad = 0;
     std::vector<float> bias;
@@ -81,29 +85,23 @@ using PhaseSink =
     std::function<void(size_t, int, const PhaseSample &)>;
 
 /**
- * Build the executable form of every node in `topo`: map and program
- * matrix nodes into the pools of every chip chips_of(id) names
- * (device variation draws at program time from a stream seeded only
- * by the engine config, so replicas program identical conductances),
- * snapshot eval-mode BN affines, copy conv/pool geometry and the
- * digital output stage, and resolve each matrix node's
- * input-quantization scale (in arch::ScaleMode::Static, from
+ * Build the executable form of every node of `g`, in its topological
+ * order: map and program each matrix node once, record the chips of
+ * its `sched` stage, snapshot eval-mode BN affines, copy conv/pool
+ * geometry and the digital output stage, and resolve each matrix
+ * node's input-quantization scale (in arch::ScaleMode::Static, from
  * cfg.calibration or the node's attached Node::inScale — fatal()s
  * when neither covers a programmed node).
  *
+ * @param sched stage partition of this same graph; fatal()s when a
+ *        node is missing from it
  * @param layers per-layer compression state, matched to matrix nodes
  *        by weight-tensor identity; fatal()s when a node has none
- * @param chips_of node id -> hosting chip indices in
- *        [0, pools.size()), primary first; single-chip runtimes
- *        return {0}, the pipeline runtime returns the node's stage
- *        chips (several for a replicated stage)
  */
 std::vector<NodeExec>
-buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
+buildNodeExecs(const compile::Graph &g, const compile::Schedule &sched,
                std::vector<admm::LayerState> &layers,
-               const RuntimeConfig &cfg,
-               std::vector<arch::EnginePool> &pools,
-               const std::function<std::vector<int>(int)> &chips_of);
+               const RuntimeConfig &cfg);
 
 /**
  * Stream one NCHW batch through the DAG in `execs` order (a
@@ -147,9 +145,8 @@ Tensor runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
 
 /**
  * Merge every programmed exec's accumulated stats into `report` rows
- * (one row per programmed node, topological order) — the row
- * semantics both graph runtimes expose, kept in one place so their
- * reports stay interchangeable.
+ * (one row per programmed node, topological order; recordLayer
+ * semantics, so a reused report accumulates).
  */
 void recordNodeRows(const std::vector<NodeExec> &execs,
                     const std::vector<arch::EngineStats> &stats,

@@ -1,7 +1,9 @@
 #include "sim/pipeline_runtime.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/trace.hh"
 #include "sim/obs_glue.hh"
@@ -9,28 +11,27 @@
 
 namespace forms::sim {
 
+namespace {
+
+/** True when `e` is a programmed node hosted on `chip`. */
+bool
+hosts(const NodeExec &e, int chip)
+{
+    return e.engine &&
+        std::find(e.replicaChips.begin(), e.replicaChips.end(), chip) !=
+            e.replicaChips.end();
+}
+
+} // namespace
+
 PipelineRuntime::PipelineRuntime(const compile::Graph &graph,
                                  compile::Schedule sched,
                                  std::vector<admm::LayerState> &layers,
                                  PipelineRuntimeConfig cfg)
-    : graph_(graph), sched_(std::move(sched)), topo_(graph.topoOrder()),
-      pools_(static_cast<size_t>(sched_.chips())), cfg_(cfg)
+    : graph_(graph), sched_(std::move(sched)),
+      execs_(buildNodeExecs(graph_, sched_, layers, cfg.runtime)),
+      cfg_(cfg)
 {
-    execs_ = buildNodeExecs(
-        graph_, topo_, layers, cfg_.runtime, pools_, [this](int id) {
-            // Every chip of the node's stage hosts it: one chip for
-            // ordinary stages, R consecutive chips for a replicated
-            // stage (which holds exactly one matrix node).
-            const int s = sched_.stageOf(id);
-            FORMS_ASSERT(s >= 0, "pipeline: node %d missing from the "
-                                 "schedule — was it built from this "
-                                 "graph?", id);
-            std::vector<int> chips;
-            const int first = sched_.stageFirstChip(s);
-            for (int c = 0; c < sched_.stageWidth(s); ++c)
-                chips.push_back(first + c);
-            return chips;
-        });
 }
 
 PipelineRuntime::~PipelineRuntime() = default;
@@ -41,13 +42,41 @@ PipelineRuntime::pool() const
     return cfg_.runtime.pool ? *cfg_.runtime.pool : ThreadPool::global();
 }
 
+size_t
+PipelineRuntime::programmedNodes() const
+{
+    size_t n = 0;
+    for (const NodeExec &e : execs_)
+        n += e.engine ? 1 : 0;
+    return n;
+}
+
 int64_t
 PipelineRuntime::totalCrossbars() const
 {
     int64_t n = 0;
-    for (const auto &p : pools_)
-        n += p.totalCrossbars();
+    for (const NodeExec &e : execs_)
+        if (e.engine)
+            n += e.mapped->numCrossbars() *
+                static_cast<int64_t>(e.replicaChips.size());
     return n;
+}
+
+std::vector<GraphNodeAlloc>
+PipelineRuntime::allocation() const
+{
+    std::vector<GraphNodeAlloc> out;
+    for (const NodeExec &e : execs_) {
+        if (!e.engine)
+            continue;
+        GraphNodeAlloc a;
+        a.nodeId = e.nodeId;
+        a.name = e.name;
+        a.outShape = graph_.node(e.nodeId).outShape;
+        a.crossbars = e.mapped->numCrossbars();
+        out.push_back(std::move(a));
+    }
+    return out;
 }
 
 void
@@ -78,25 +107,35 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
 {
     FORMS_TRACE_SCOPE("PipelineRuntime::forward");
     const auto t0 = std::chrono::steady_clock::now();
-    ThreadPool &tp = pool();
-    PoolScope scope(tp);
 
     const int64_t images = batch.dim(0);
     FORMS_ASSERT(images > 0, "pipeline forward: empty batch");
+    // A sample of another shape would index past the kernels' buffers;
+    // reject it before anything runs.
+    const Shape sample(batch.shape().begin() + 1, batch.shape().end());
+    const Shape &expected = graph_.node(graph_.input()).outShape;
+    if (sample != expected)
+        throw std::invalid_argument(strfmt(
+            "forward: sample shape %s differs from the graph input's "
+            "inferred shape %s", shapeStr(sample).c_str(),
+            shapeStr(expected).c_str()));
+
+    ThreadPool &tp = pool();
+    PoolScope scope(tp);
+
     const int64_t mb = std::max<int64_t>(
         1, std::min<int64_t>(cfg_.microBatch, images));
     const int num_mb = static_cast<int>((images + mb - 1) / mb);
     const int64_t sample_elems = batch.numel() / images;
     const int n_chips = sched_.chips();
     const int n_stages = sched_.stages();
-
-    // Engine-lifetime stat accumulators, one per node. Every
-    // micro-batch's stage call merges into the same accumulator — a
-    // replicated node's replica slices fold in ascending replica
-    // (= presentation) order — so the final fold has the exact
-    // presentation order (and floating-point grouping) of one
-    // full-batch GraphRuntime forward: the bit-identical contract
-    // across micro-batch sizes and replication factors.
+    // Stat accumulators, one per node. Every micro-batch's stage call
+    // merges into the same accumulator — a replicated node's replica
+    // slices fold in ascending replica (= presentation) order — so
+    // the final fold has the exact presentation order (and
+    // floating-point grouping) of one whole-batch call: the
+    // bit-identical contract across micro-batch sizes and replication
+    // factors.
     std::vector<arch::EngineStats> node_stats(execs_.size());
 
     // Per-(exec, image) accumulators for the per-request stats
@@ -169,21 +208,14 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
 
     // The modeled timeline feeds three consumers: the caller's
     // report, the trace session (per-chip slices) and the metrics
-    // sink. Build it into a local report when only an observer asked
-    // — observers are pure, so skipping all of this when nobody is
-    // looking changes nothing about the computation above.
-    PipelineReport local_report;
-    PipelineReport *rep = report;
-    if (!rep && (cfg_.trace || cfg_.runtime.metrics))
-        rep = &local_report;
-
-    if (rep) {
-        // Per-node rows in topological order — same names, order and
-        // merged stats as a GraphRuntime forward of the whole batch.
-        recordNodeRows(execs_, node_stats, rep->nodes);
-        rep->nodes.wallMs +=
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0).count();
+    // sink. Build it only when one of them is present — observers are
+    // pure, so skipping it when nobody is looking changes nothing
+    // about the computation above.
+    if (report || cfg_.trace || cfg_.runtime.metrics) {
+        PipelineReport rep;   // this forward alone
+        recordNodeRows(execs_, node_stats, rep.nodes);
+        rep.nodes.wallMs = std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0).count();
 
         // Per-chip busy intervals under the intra-chip tile pipeline
         // model, and the serial (no-overlap) reference for the
@@ -268,9 +300,6 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
             done[static_cast<size_t>(n_stages) - 1]
                 [static_cast<size_t>(num_mb) - 1];
 
-        rep->chips.clear();
-        rep->faultyCrossbars = 0;
-        rep->remappedCrossbars = 0;
         double total_busy = 0.0, total_xfer_ns = 0.0, total_xfer_pj = 0.0;
         for (int s = 0; s < n_stages; ++s) {
             const int first = sched_.stageFirstChip(s);
@@ -286,31 +315,23 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
                 c.replicas = width;
                 c.nodes =
                     sched_.chipNodes()[static_cast<size_t>(chip)].size();
-                c.programmedNodes =
-                    pools_[static_cast<size_t>(chip)].size();
-                c.crossbars =
-                    pools_[static_cast<size_t>(chip)].totalCrossbars();
-                // Per-chip stats: node accumulators merged in
-                // topological (presentation) order — deterministic
-                // for any thread count and micro-batch size. A
-                // replicated node's accumulator spans all replicas
-                // and lands on its primary chip.
                 for (size_t idx = 0; idx < execs_.size(); ++idx) {
-                    if (execs_[idx].engine && execs_[idx].chip == chip)
+                    const NodeExec &e = execs_[idx];
+                    if (!hosts(e, chip))
+                        continue;
+                    // Programmed inventory and fault exposure count
+                    // on every chip hosting the node.
+                    ++c.programmedNodes;
+                    c.crossbars += e.mapped->numCrossbars();
+                    c.faultyCrossbars += e.engine->faultyCrossbars();
+                    c.remappedCrossbars += e.remap.remappedCrossbars;
+                    // Per-chip stats: node accumulators merged in
+                    // topological (presentation) order — deterministic
+                    // for any thread count and micro-batch size. A
+                    // replicated node's accumulator spans all replicas
+                    // and lands on its primary chip.
+                    if (e.replicaChips.front() == chip)
                         c.stats.merge(node_stats[idx]);
-                }
-                // Fault exposure of the engines this chip programs
-                // (every replica counts — each chip holds its own
-                // faulted copy).
-                for (const NodeExec &e : execs_) {
-                    for (size_t ri = 0; ri < e.replicas.size(); ++ri) {
-                        if (e.replicaChips[ri] != chip)
-                            continue;
-                        c.faultyCrossbars +=
-                            e.replicas[ri]->faultyCrossbars();
-                        c.remappedCrossbars +=
-                            e.remap.remappedCrossbars;
-                    }
                 }
                 for (int m = 0; m < num_mb; ++m) {
                     for (const PhaseInterval &p :
@@ -335,28 +356,38 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
                 total_busy += c.busyNs;
                 total_xfer_ns += c.transferInNs;
                 total_xfer_pj += c.transferInPj;
-                rep->faultyCrossbars += c.faultyCrossbars;
-                rep->remappedCrossbars += c.remappedCrossbars;
-                rep->chips.push_back(std::move(c));
+                rep.faultyCrossbars += c.faultyCrossbars;
+                rep.remappedCrossbars += c.remappedCrossbars;
+                rep.chips.push_back(std::move(c));
             }
         }
-        rep->stages = n_stages;
-        rep->microBatches = num_mb;
-        rep->images = images;
-        rep->makespanNs = makespan;
-        rep->bubbleFraction = makespan > 0.0
+        rep.stages = n_stages;
+        rep.microBatches = num_mb;
+        rep.images = images;
+        rep.makespanNs = makespan;
+        rep.bubbleFraction = makespan > 0.0
             ? 1.0 - total_busy / (static_cast<double>(n_chips) * makespan)
             : 0.0;
-        rep->transferNs = total_xfer_ns;
-        rep->transferPj = total_xfer_pj;
-        rep->overlapSavedNs = overlap_saved;
+        rep.transferNs = total_xfer_ns;
+        rep.transferPj = total_xfer_pj;
+        rep.overlapSavedNs = overlap_saved;
 
         if (cfg_.trace) {
             emitTrace(*cfg_.trace, phases, busy, stage_busy_sm, done,
                       mb, images);
         }
+        // Metrics take this forward's rows alone, so their counters
+        // accumulate per-call deltas whether or not the caller reuses
+        // its report.
         if (cfg_.runtime.metrics)
-            recordPipelineMetrics(*cfg_.runtime.metrics, *rep);
+            recordPipelineMetrics(*cfg_.runtime.metrics, rep);
+        if (report) {
+            // The caller's per-node rows accumulate across forwards.
+            recordNodeRows(execs_, node_stats, report->nodes);
+            report->nodes.wallMs += rep.nodes.wallMs;
+            rep.nodes = std::move(report->nodes);
+            *report = std::move(rep);
+        }
     }
     return result;
 }
@@ -408,12 +439,10 @@ PipelineRuntime::emitTrace(
         for (int c = 0; c < n_chips; ++c) {
             int64_t faulty = 0, remapped = 0;
             for (const NodeExec &e : execs_) {
-                for (size_t ri = 0; ri < e.replicas.size(); ++ri) {
-                    if (e.replicaChips[ri] != c)
-                        continue;
-                    faulty += e.replicas[ri]->faultyCrossbars();
-                    remapped += e.remap.remappedCrossbars;
-                }
+                if (!hosts(e, c))
+                    continue;
+                faulty += e.engine->faultyCrossbars();
+                remapped += e.remap.remappedCrossbars;
             }
             if (faulty == 0 && remapped == 0)
                 continue;

@@ -1,31 +1,36 @@
 /**
  * @file
- * Multi-chip pipelined executor for partitioned layer graphs, with
- * replicated stages and an intra-chip tile pipeline timing model.
+ * The simulator's executor: runs a partitioned layer graph on one or
+ * more simulated chips, with replicated stages and an intra-chip tile
+ * pipeline timing model.
  *
  * PipelineRuntime takes a compile::Graph plus a compile::Schedule
- * (the stage partition), programs each matrix node's engine into the
- * arch::EnginePool of every chip hosting it — one chip for ordinary
- * stages, R consecutive chips for a replicated stage — and streams
- * batches through the DAG as a micro-batch pipeline: while stage k
- * computes its nodes on micro-batch b, stage k-1 computes micro-batch
- * b+1. Inter-stage edges are the schedule's explicit Transfer
- * records, charged with a sim::InterChipLink latency/energy cost on
- * the receiving stage; a `mergeReplicas` record marks where a
- * replicated producer's presentation slices rejoin.
+ * (the stage partition) and programs each matrix node once — its
+ * mapping plus one immutable CrossbarEngine. A node is hosted by its
+ * stage's chips: one chip for ordinary stages, R consecutive chips
+ * for a replicated stage, whose R presentation slices all run on the
+ * node's one engine (every replica chip would hold the same
+ * conductances). Batches stream through the DAG as a micro-batch
+ * pipeline: while stage k computes its nodes on micro-batch b, stage
+ * k-1 computes micro-batch b+1. Inter-stage edges are the schedule's
+ * explicit Transfer records, charged with a sim::InterChipLink
+ * latency/energy cost on the receiving stage; a `mergeReplicas`
+ * record marks where a replicated producer's presentation slices
+ * rejoin. A single-chip run is the one-stage case: sim::GraphRuntime
+ * is exactly this runtime on a 1-chip schedule with whole-batch
+ * micro-batches.
  *
  * The pipeline overlap is a *timing model* layered on a functionally
  * exact execution: numerically, every micro-batch flows through the
  * identical kernels (sim/stage_kernels.hh) in the graph's
  * deterministic topological order, so
  *
- *   - logits are bit-identical to sim::GraphRuntime on the same
- *     graph, for ANY chip count, micro-batch size, thread count AND
- *     replication factor (chips shard work in the model, not in the
- *     arithmetic; replica r of R processes the contiguous
- *     presentation-index slice [floor(P*r/R), floor(P*(r+1)/R)) of
- *     each micro-batch under the presentations' own image-keyed
- *     stream keys), and
+ *   - logits are bit-identical for ANY chip count, micro-batch size,
+ *     thread count AND replication factor (chips shard work in the
+ *     model, not in the arithmetic; replica r of R processes the
+ *     contiguous presentation-index slice
+ *     [floor(P*r/R), floor(P*(r+1)/R)) of each micro-batch under the
+ *     presentations' own image-keyed stream keys), and
  *   - per-node EngineStats accumulate through one fold in
  *     presentation order — each micro-batch's stage call
  *     merges into the same per-node accumulator, and a replicated
@@ -51,9 +56,10 @@
  *
  * Thread-safety: construction and forward() must be called from one
  * thread at a time (the image-id counter and the per-node im2col
- * scratch are mutable); the
- * internal work shards on the configured ThreadPool. Distinct
- * PipelineRuntime instances are independent.
+ * scratch are mutable); the internal work shards on the configured
+ * ThreadPool. Distinct runtime instances are independent. The
+ * borrowed graph and layer states must not be mutated while the
+ * runtime is alive.
  *
  * Typical flow:
  *
@@ -137,11 +143,12 @@ struct ChipReport
     uint64_t adcSkippedCycles = 0;
 
     /**
-     * Fault exposure of this chip's programmed engines (0 without a
+     * Fault exposure of this chip's programmed nodes (0 without a
      * RuntimeConfig::faults map): crossbars whose used window carries
      * at least one overlaid fault, and crossbars the spare-remap pass
      * rerouted off a dead column. Replicated nodes count on every
-     * hosting chip (each chip programs its own faulted replica).
+     * hosting chip (each chip would hold the same faulted replica),
+     * as do programmedNodes and crossbars.
      */
     int64_t faultyCrossbars = 0;
     int64_t remappedCrossbars = 0;
@@ -158,14 +165,15 @@ struct ChipReport
 };
 
 /**
- * Pipeline execution report. `nodes` carries the same per-node rows
- * (names, order, merged stats) a GraphRuntime forward of the same
- * batch would produce; the pipeline-level fields summarize the
- * modeled multi-chip schedule.
+ * Execution report. `nodes` carries the per-node rows (names, order,
+ * merged stats) — identical for every chip count and micro-batch
+ * size on the same batch — and accumulates across forwards into a
+ * reused report; the pipeline-level fields summarize the modeled
+ * multi-chip schedule of the latest forward.
  */
 struct PipelineReport
 {
-    RuntimeReport nodes;          //!< per-node rows, GraphRuntime-compatible
+    RuntimeReport nodes;          //!< per-node rows, topological order
     std::vector<ChipReport> chips;
     int stages = 0;               //!< pipeline stages (< chips when replicated)
     int microBatches = 0;
@@ -193,14 +201,21 @@ struct PipelineReport
     }
 };
 
+/** Crossbar allocation of one programmed graph node. */
+struct GraphNodeAlloc
+{
+    int nodeId = -1;
+    std::string name;
+    Shape outShape;        //!< per-sample shape (from inferShapes)
+    int64_t crossbars = 0;
+};
+
 /** Executes a partitioned, folded, compressed layer graph. */
 class PipelineRuntime
 {
   public:
     /**
-     * Map and program every Conv/Dense node of `graph` into the
-     * engine pool of each chip hosting it (replicated stages program
-     * one identical engine per replica chip).
+     * Map and program every Conv/Dense node of `graph` once.
      *
      * @param graph the compiled DAG; borrowed (with its backing
      *        nn::Network) — both must outlive the runtime
@@ -224,11 +239,12 @@ class PipelineRuntime
     /**
      * Stream a whole NCHW batch through the pipeline in micro-batches.
      * Returns the graph output (batch x classes for a classifier),
-     * bit-identical to GraphRuntime::forward on the same graph and
-     * batch for any chip count, micro-batch size, thread count and
-     * replication factor. Per-node stats merge into `report->nodes`
-     * rows in topological order; chip/pipeline fields are overwritten
-     * (they describe this forward, not an accumulation).
+     * bit-identical for any chip count, micro-batch size, thread
+     * count and replication factor on the same graph and batch.
+     * Per-node stats merge into `report->nodes` rows in topological
+     * order; chip/pipeline fields are overwritten (they describe this
+     * forward, not an accumulation). Metrics (RuntimeConfig::metrics)
+     * record this forward alone, whether or not `report` is reused.
      */
     Tensor forward(const Tensor &batch, PipelineReport *report = nullptr);
 
@@ -242,6 +258,10 @@ class PipelineRuntime
      * micro-batch size, chip count and replication factor
      * (docs/SERVING.md). Does not consume ids from the counter
      * forward() uses.
+     *
+     * @throws std::invalid_argument when the per-sample shape differs
+     *         from the graph input's inferred shape (checked before
+     *         any kernel runs)
      */
     Tensor forwardRequests(const Tensor &batch, const uint64_t *ids,
                            std::vector<RuntimeReport> *per_request = nullptr,
@@ -266,15 +286,25 @@ class PipelineRuntime
     /** Configured images per micro-batch. */
     int microBatch() const { return cfg_.microBatch; }
 
+    /** Number of executable nodes (programmed + functional). */
+    size_t nodes() const { return execs_.size(); }
+
+    /** Number of crossbar-programmed (Conv/Dense) graph nodes. */
+    size_t programmedNodes() const;
+
     /** Total crossbars programmed across all chips (replicas count). */
     int64_t totalCrossbars() const;
+
+    /**
+     * Per-programmed-node crossbar allocation (one replica), in
+     * topological order.
+     */
+    std::vector<GraphNodeAlloc> allocation() const;
 
   private:
     const compile::Graph &graph_;
     compile::Schedule sched_;
-    std::vector<int> topo_;               //!< fixed node schedule
-    std::vector<arch::EnginePool> pools_; //!< one per chip
-    std::vector<NodeExec> execs_;         //!< parallel to topo_
+    std::vector<NodeExec> execs_;         //!< topological order
     PipelineRuntimeConfig cfg_;
     uint64_t nextImageId_ = 0;            //!< forward()'s id counter
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared vocabulary of the crossbar runtimes: the construction config
- * (RuntimeConfig) and the latency / energy / host-time report
- * (RuntimeReport) of sim::GraphRuntime (sim/graph_runtime.hh) and
- * sim::PipelineRuntime (sim/pipeline_runtime.hh), plus the
- * snapshotCompress() helper that readies a network's weights for
- * mapping without training.
+ * Shared vocabulary of the crossbar executor: the construction config
+ * (RuntimeConfig) and the per-node latency / energy / host-time
+ * report (RuntimeReport) of sim::PipelineRuntime
+ * (sim/pipeline_runtime.hh) and its single-chip form sim::GraphRuntime
+ * (sim/graph_runtime.hh), plus the snapshotCompress() helper that
+ * readies a network's weights for mapping without training.
  *
- * A straight-line network runs on the graph runtimes like any other:
- * lower it with compile::lowerNetwork and execute the graph.
+ * A straight-line network runs like any other: lower it with
+ * compile::lowerNetwork and execute the graph.
  */
 
 #ifndef FORMS_SIM_RUNTIME_HH
@@ -79,9 +79,9 @@ struct RuntimeConfig
 
     /**
      * Hard-fault model (reram/faults.hh; borrowed, may be null). The
-     * graph runtimes key each node's fault pattern by its graph node
-     * id, so GraphRuntime and PipelineRuntime — and every replica of a
-     * node — draw bit-identical faults. Faults are deterministic
+     * executor keys each node's fault pattern by its graph node id,
+     * so every chip count, partition and replica of a node draws
+     * bit-identical faults. Faults are deterministic
      * state, not noise: the cross-runtime determinism contracts hold
      * under a fault map exactly as they do without one.
      */

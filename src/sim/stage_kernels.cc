@@ -148,12 +148,12 @@ channelValue(const std::vector<float> &deq, int oc)
 }
 
 /**
- * Execute one micro-batch's presentations on a stage's engine
- * replicas (see StageEngines in the header for the slicing and
- * bit-identity contract). `rows` is the quantized values per
- * presentation, reported through onPhase for the timing model; `ppi`
- * is presentations per image, used to expand per-image stream ids
- * into per-presentation keys.
+ * Execute one micro-batch's presentations on a stage's engine, one
+ * replica slice at a time (see StageEngines in the header for the
+ * slicing and bit-identity contract). `rows` is the quantized values
+ * per presentation, reported through onPhase for the timing model;
+ * `ppi` is presentations per image, used to expand per-image stream
+ * ids into per-presentation keys.
  */
 std::vector<std::vector<double>>
 replicatedMvm(const StageEngines &eng,
@@ -161,8 +161,8 @@ replicatedMvm(const StageEngines &eng,
               int64_t ppi, arch::EngineStats *stats, ThreadPool &tp)
 {
     const size_t p = q.size();
-    const size_t r_count = eng.replicas.size();
-    FORMS_ASSERT(r_count >= 1, "matrix stage with no engine");
+    const size_t r_count = static_cast<size_t>(eng.replicas);
+    FORMS_ASSERT(eng.engine && r_count >= 1, "matrix stage with no engine");
     FORMS_ASSERT(eng.imageIds, "matrix stage without per-image stream ids");
     // The per-phase sink needs model-time deltas even when the caller
     // passes no accumulator.
@@ -192,8 +192,8 @@ replicatedMvm(const StageEngines &eng,
         const size_t lo = p * r / r_count;
         const size_t hi = p * (r + 1) / r_count;
         const arch::EngineStats before = acc ? *acc : arch::EngineStats{};
-        auto part = eng.replicas[r]->mvmKeyed(q, lo, hi, keys.data(), acc,
-                                              per_out, &tp);
+        auto part = eng.engine->mvmKeyed(q, lo, hi, keys.data(), acc,
+                                         per_out, &tp);
         if (eng.onPhase) {
             PhaseSample ps;
             ps.adcNs = acc->timeNs - before.timeNs;

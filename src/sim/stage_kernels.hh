@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared per-stage execution kernels of the batched crossbar runtimes.
+ * Per-stage execution kernels of the batched crossbar executor.
  *
- * Both graph executors — GraphRuntime (sim/graph_runtime.hh) and
- * PipelineRuntime (sim/pipeline_runtime.hh), through sim/graph_exec.hh
- * — stream a batch through one programmed matrix stage the same way:
+ * sim::PipelineRuntime (through sim/graph_exec.hh) streams a batch
+ * through each programmed matrix stage the same way, at any chip
+ * count:
  *
  *     (im2col) -> quantize -> mvmKeyed -> dequantize(+bias)
  *
@@ -108,26 +108,28 @@ struct PhaseSample
 };
 
 /**
- * The programmed engines executing one matrix stage. `replicas[0]` is
- * the primary engine; additional entries are replica engines on other
- * chips, all programmed from the same weights with the same config
- * (so their programmed conductances are identical — device variation
- * draws from a stream seeded only by cfg.variationSeed).
+ * The programmed engine executing one matrix stage, and the number of
+ * chips its stage spans. A replicated stage's R chips would all hold
+ * the same conductances (device variation draws from a stream seeded
+ * only by cfg.variationSeed, faults are keyed by node id), so every
+ * replica slice runs on the one engine.
  *
  * Replica r of R processes the contiguous slice
  * [floor(P*r/R), floor(P*(r+1)/R)) of each micro-batch's P
  * presentations under the presentations' own stream keys, and
  * replica slices execute (and fold stats) in ascending replica order
  * — so outputs AND the per-presentation stat fold are bit-identical
- * to one engine processing the whole batch, for any replica count
- * (DESIGN.md §5).
+ * to one unsliced call, for any replica count (DESIGN.md §5; pinned
+ * by test_engine MvmKeyed.*). The slices exist for the per-replica
+ * timing the onPhase sink reports.
  *
- * Thread-safety: borrowed, immutable engines; work shards internally
+ * Thread-safety: borrowed, immutable engine; work shards internally
  * on the caller's pool.
  */
 struct StageEngines
 {
-    std::vector<const arch::CrossbarEngine *> replicas;  //!< size >= 1
+    const arch::CrossbarEngine *engine = nullptr;
+    int replicas = 1;   //!< chips the stage spans (slices per call)
 
     /**
      * Optional per-phase timing sink, fired once per replica in

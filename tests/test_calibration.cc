@@ -126,9 +126,9 @@ TEST(Calibration, StaticBitIdenticalAcrossThreadsMicroBatchesAndChips)
         ThreadPool pool(1);
         sim::GraphRuntime rt(c.graph, c.states,
                              staticConfig(&pool, &c.table));
-        sim::RuntimeReport rep;
+        sim::PipelineReport rep;
         ref_logits = rt.forward(batch, &rep);
-        for (const auto &l : rep.layers)
+        for (const auto &l : rep.nodes.layers)
             ref_stats.push_back(l.stats);
         ASSERT_EQ(ref_stats.size(), 10u);
         // The static grid actually runs statically: values were
@@ -202,7 +202,7 @@ TEST(Calibration, GraphAndPipelineAgreeBitwiseOnAStraightLineNet)
     batch.fillUniform(crng, 0.0f, 1.0f);
 
     sim::GraphRuntime gr(graph, states, staticConfig(&pool, &table));
-    sim::RuntimeReport grep;
+    sim::PipelineReport grep;
     const Tensor b = gr.forward(batch, &grep);
 
     compile::ScheduleConfig scfg;
@@ -217,10 +217,10 @@ TEST(Calibration, GraphAndPipelineAgreeBitwiseOnAStraightLineNet)
     const Tensor cc = pr.forward(batch, &prep);
 
     EXPECT_TRUE(b.equals(cc));
-    ASSERT_EQ(grep.layers.size(), 3u);
-    ASSERT_EQ(grep.layers.size(), prep.nodes.layers.size());
-    for (size_t i = 0; i < grep.layers.size(); ++i)
-        expectStatsIdentical(grep.layers[i].stats,
+    ASSERT_EQ(grep.nodes.layers.size(), 3u);
+    ASSERT_EQ(grep.nodes.layers.size(), prep.nodes.layers.size());
+    for (size_t i = 0; i < grep.nodes.layers.size(); ++i)
+        expectStatsIdentical(grep.nodes.layers[i].stats,
                              prep.nodes.layers[i].stats);
 }
 
@@ -399,7 +399,7 @@ TEST(SaturationCounters, SurfaceThroughRuntimeReportsOnOutlierBatches)
     Rng rng(562);
     Tensor normal({2, 3, 32, 32});
     normal.fillUniform(rng, 0.0f, 1.0f);
-    sim::RuntimeReport normal_rep;
+    sim::PipelineReport normal_rep;
     rt.forward(normal, &normal_rep);
 
     // Outlier batch: 10x the calibrated dynamic range must saturate
@@ -408,22 +408,22 @@ TEST(SaturationCounters, SurfaceThroughRuntimeReportsOnOutlierBatches)
     outlier.fillUniform(rng, 0.0f, 10.0f);
     sim::GraphRuntime rt2(c.graph, c.states,
                           staticConfig(&pool, &c.table));
-    sim::RuntimeReport outlier_rep;
+    sim::PipelineReport outlier_rep;
     rt2.forward(outlier, &outlier_rep);
 
     uint64_t normal_clips = 0, outlier_clips = 0;
-    for (const auto &l : normal_rep.layers)
+    for (const auto &l : normal_rep.nodes.layers)
         normal_clips += l.stats.quantClipped;
-    for (const auto &l : outlier_rep.layers)
+    for (const auto &l : outlier_rep.nodes.layers)
         outlier_clips += l.stats.quantClipped;
-    EXPECT_GT(outlier_rep.layers[0].stats.quantClipped, 0u);
+    EXPECT_GT(outlier_rep.nodes.layers[0].stats.quantClipped, 0u);
     EXPECT_GT(outlier_clips, normal_clips);
 
     // The idealized mode never clips anything.
     sim::GraphRuntime ideal(c.graph, c.states, noisyConfig(&pool));
-    sim::RuntimeReport ideal_rep;
+    sim::PipelineReport ideal_rep;
     ideal.forward(outlier, &ideal_rep);
-    for (const auto &l : ideal_rep.layers) {
+    for (const auto &l : ideal_rep.nodes.layers) {
         EXPECT_EQ(l.stats.quantClipped, 0u);
         EXPECT_GT(l.stats.quantValues, 0u);
     }

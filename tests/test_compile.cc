@@ -383,6 +383,7 @@ TEST(FoldBatchNorm, WeightsVsDigitalScaleAgreeOnIdentityShortcutBlock)
     auto g_w = compile::lowerNetwork(net_w);
     EXPECT_EQ(compile::foldBatchNorm(g_w, compile::FoldMode::Weights),
               5);
+    g_w.inferShapes({3, 12, 12});
     auto states_w = sim::snapshotCompress(net_w, 8, 8);
     sim::GraphRuntime rt_w(g_w, states_w, preciseConfig());
     const Tensor y_w = rt_w.forward(x);
@@ -393,6 +394,7 @@ TEST(FoldBatchNorm, WeightsVsDigitalScaleAgreeOnIdentityShortcutBlock)
     EXPECT_EQ(
         compile::foldBatchNorm(g_d, compile::FoldMode::DigitalScale),
         5);
+    g_d.inferShapes({3, 12, 12});
     sim::GraphRuntime rt_d(g_d, states_d, preciseConfig());
     const Tensor y_d = rt_d.forward(x);
 

@@ -242,7 +242,7 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
         rcfg.engine.simdMode = simd::Mode::Scalar;
 
         sim::GraphRuntime gr(graph, states, rcfg);
-        sim::RuntimeReport grep;
+        sim::PipelineReport grep;
         const Tensor ref = gr.forward(batch, &grep);
 
         // Odd and stem-heavy graphs fuzz stage replication: at least
@@ -279,13 +279,13 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
             << " microBatch=" << micro_batch
             << " static=" << use_static
             << " replicated=" << replicated << "\n" << graph.dump();
-        ASSERT_EQ(prep.nodes.layers.size(), grep.layers.size());
-        for (size_t i = 0; i < grep.layers.size(); ++i) {
-            EXPECT_EQ(prep.nodes.layers[i].name, grep.layers[i].name);
+        ASSERT_EQ(prep.nodes.layers.size(), grep.nodes.layers.size());
+        for (size_t i = 0; i < grep.nodes.layers.size(); ++i) {
+            EXPECT_EQ(prep.nodes.layers[i].name, grep.nodes.layers[i].name);
             expectStatsIdentical(prep.nodes.layers[i].stats,
-                                 grep.layers[i].stats);
+                                 grep.nodes.layers[i].stats);
         }
-        EXPECT_EQ(prep.nodes.presentations, grep.presentations);
+        EXPECT_EQ(prep.nodes.presentations, grep.nodes.presentations);
 
         // EIC-timing axis: stamp the calibrated bit densities on the
         // graph and re-partition under WorkModel::EicTime — the
@@ -314,10 +314,10 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
                 << "EIC-aware schedule changed the numerics: chips="
                 << chips << " microBatch=" << micro_batch << "\n"
                 << graph.dump();
-            ASSERT_EQ(erep.nodes.layers.size(), grep.layers.size());
-            for (size_t i = 0; i < grep.layers.size(); ++i)
+            ASSERT_EQ(erep.nodes.layers.size(), grep.nodes.layers.size());
+            for (size_t i = 0; i < grep.nodes.layers.size(); ++i)
                 expectStatsIdentical(erep.nodes.layers[i].stats,
-                                     grep.layers[i].stats);
+                                     grep.nodes.layers[i].stats);
         }
 
         // Fault axis: the same DAG re-programmed under a seeded fault
@@ -340,7 +340,7 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
             fcfg.remapFaults = true;
             fcfg.mapping.spareXbars = 12;
             sim::GraphRuntime fgr(graph, states, fcfg);
-            sim::RuntimeReport fgrep;
+            sim::PipelineReport fgrep;
             const Tensor fref = fgr.forward(batch, &fgrep);
             fault_perturbed += !fref.equals(ref);
 
@@ -359,10 +359,10 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
                 << "faulted logits diverge: chips=" << chips
                 << " microBatch=" << micro_batch
                 << " replicated=" << replicated << "\n" << graph.dump();
-            ASSERT_EQ(fprep.nodes.layers.size(), fgrep.layers.size());
-            for (size_t i = 0; i < fgrep.layers.size(); ++i)
+            ASSERT_EQ(fprep.nodes.layers.size(), fgrep.nodes.layers.size());
+            for (size_t i = 0; i < fgrep.nodes.layers.size(); ++i)
                 expectStatsIdentical(fprep.nodes.layers[i].stats,
-                                     fgrep.layers[i].stats);
+                                     fgrep.nodes.layers[i].stats);
         }
 
         // Observer axis: the same pipeline with a trace session and a

@@ -146,21 +146,21 @@ TEST(FaultOverlay, ZeroRateMapIsBitwiseInert)
 
     ThreadPool pool(4);
     sim::GraphRuntime clean(c.graph, c.states, noisyConfig(&pool));
-    sim::RuntimeReport clean_rep;
+    sim::PipelineReport clean_rep;
     const Tensor clean_logits = clean.forward(batch, &clean_rep);
 
     reram::FaultMap zero{reram::FaultConfig{}};
     sim::RuntimeConfig rcfg = noisyConfig(&pool);
     rcfg.faults = &zero;
     sim::GraphRuntime faulted(c.graph, c.states, rcfg);
-    sim::RuntimeReport rep;
+    sim::PipelineReport rep;
     const Tensor logits = faulted.forward(batch, &rep);
 
     EXPECT_TRUE(logits.equals(clean_logits));
-    ASSERT_EQ(rep.layers.size(), clean_rep.layers.size());
-    for (size_t i = 0; i < rep.layers.size(); ++i)
-        expectStatsIdentical(rep.layers[i].stats,
-                             clean_rep.layers[i].stats);
+    ASSERT_EQ(rep.nodes.layers.size(), clean_rep.nodes.layers.size());
+    for (size_t i = 0; i < rep.nodes.layers.size(); ++i)
+        expectStatsIdentical(rep.nodes.layers[i].stats,
+                             clean_rep.nodes.layers[i].stats);
 }
 
 TEST(FaultOverlay, StuckCellsPerturbLogitsDeterministically)
@@ -206,7 +206,7 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
 
     ThreadPool pool(4);
     sim::GraphRuntime clean(c.graph, c.states, noisyConfig(&pool));
-    sim::RuntimeReport clean_rep;
+    sim::PipelineReport clean_rep;
     const Tensor clean_logits = clean.forward(batch, &clean_rep);
 
     reram::FaultConfig fc;
@@ -219,16 +219,16 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
     rcfg.remapFaults = true;
     rcfg.mapping.spareXbars = 16;
     sim::GraphRuntime repaired(c.graph, c.states, rcfg);
-    sim::RuntimeReport rep;
+    sim::PipelineReport rep;
     const Tensor logits = repaired.forward(batch, &rep);
 
     EXPECT_TRUE(logits.equals(clean_logits))
         << "remap changed the numbers: physical-identity swap leaked "
            "into accumulation order";
-    ASSERT_EQ(rep.layers.size(), clean_rep.layers.size());
-    for (size_t i = 0; i < rep.layers.size(); ++i)
-        expectStatsIdentical(rep.layers[i].stats,
-                             clean_rep.layers[i].stats);
+    ASSERT_EQ(rep.nodes.layers.size(), clean_rep.nodes.layers.size());
+    for (size_t i = 0; i < rep.nodes.layers.size(); ++i)
+        expectStatsIdentical(rep.nodes.layers[i].stats,
+                             clean_rep.nodes.layers[i].stats);
 
     // Without remapping the same map must hurt — otherwise this test
     // proved nothing (no crossbar actually drew a dead used column).

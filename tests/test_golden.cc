@@ -179,9 +179,9 @@ uint64_t
 graphDigest(CompiledResNet &c, const sim::RuntimeConfig &cfg)
 {
     sim::GraphRuntime rt(c.graph, c.states, cfg);
-    sim::RuntimeReport rep;
+    sim::PipelineReport rep;
     const Tensor logits = rt.forward(c.batch, &rep);
-    return digestOf(logits, rep);
+    return digestOf(logits, rep.nodes);
 }
 
 TEST(Golden, LosslessAdc)
@@ -355,10 +355,10 @@ TEST(Golden, Fig13NetOnGraphRuntime)
 
     Digest d;
     for (int call = 0; call < 2; ++call) {
-        sim::RuntimeReport rep;
+        sim::PipelineReport rep;
         d.tensor(rt.forward(batch, &rep));
-        d.report(rep);
-        d.value(rep.presentations);
+        d.report(rep.nodes);
+        d.value(rep.nodes.presentations);
     }
     expectDigest(d.get(), 0xf3da163b3f4297f1ULL);
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "compile/passes.hh"
 #include "nn/zoo.hh"
@@ -65,25 +66,25 @@ TEST(GraphRuntime, ResNetBitIdenticalAcrossThreadCounts)
     for (int threads : {1, 4, 8}) {
         ThreadPool pool(threads);
         sim::GraphRuntime rt(c.graph, c.states, noisyConfig(&pool));
-        sim::RuntimeReport rep;
+        sim::PipelineReport rep;
         const Tensor logits = rt.forward(batch, &rep);
 
         ASSERT_EQ(logits.dim(0), 2);
         ASSERT_EQ(logits.dim(1), 4);
         if (threads == 1) {
             ref_logits = logits;
-            ref_rep = rep;
+            ref_rep = rep.nodes;
             continue;
         }
         EXPECT_TRUE(logits.equals(ref_logits))
             << "logits diverge on " << threads << " threads";
-        ASSERT_EQ(rep.layers.size(), ref_rep.layers.size());
-        for (size_t i = 0; i < rep.layers.size(); ++i) {
-            EXPECT_EQ(rep.layers[i].name, ref_rep.layers[i].name);
-            expectStatsIdentical(rep.layers[i].stats,
+        ASSERT_EQ(rep.nodes.layers.size(), ref_rep.layers.size());
+        for (size_t i = 0; i < rep.nodes.layers.size(); ++i) {
+            EXPECT_EQ(rep.nodes.layers[i].name, ref_rep.layers[i].name);
+            expectStatsIdentical(rep.nodes.layers[i].stats,
                                  ref_rep.layers[i].stats);
         }
-        EXPECT_EQ(rep.presentations, ref_rep.presentations);
+        EXPECT_EQ(rep.nodes.presentations, ref_rep.presentations);
     }
 
     // One programmed node per conv/dense: stem + 1 block/stage x
@@ -222,15 +223,15 @@ TEST(GraphRuntime, ReportAccumulatesAcrossForwards)
     Tensor batch({1, 3, 32, 32});
     batch.fillUniform(rng, 0.0f, 1.0f);
 
-    sim::RuntimeReport rep;
+    sim::PipelineReport rep;
     rt.forward(batch, &rep);
-    const size_t rows = rep.layers.size();
-    const uint64_t pres = rep.presentations;
+    const size_t rows = rep.nodes.layers.size();
+    const uint64_t pres = rep.nodes.presentations;
     rt.forward(batch, &rep);
-    EXPECT_EQ(rep.layers.size(), rows);
-    EXPECT_EQ(rep.presentations, 2 * pres);
-    EXPECT_GT(rep.modelTimeNs(), 0.0);
-    EXPECT_GT(rep.modelEnergyPj(), 0.0);
+    EXPECT_EQ(rep.nodes.layers.size(), rows);
+    EXPECT_EQ(rep.nodes.presentations, 2 * pres);
+    EXPECT_GT(rep.nodes.modelTimeNs(), 0.0);
+    EXPECT_GT(rep.nodes.modelEnergyPj(), 0.0);
 }
 
 TEST(GraphRuntime, AccuracyRunsAndIsBounded)
@@ -246,6 +247,33 @@ TEST(GraphRuntime, AccuracyRunsAndIsBounded)
     const double acc = rt.accuracy(images, {0, 1, 2});
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
+}
+
+TEST(GraphRuntime, WrongInputShapeThrowsBeforeRunning)
+{
+    // The kernels index by the inferred shapes: a sample of another
+    // shape must be rejected up front, not read out of bounds.
+    CompiledResNet c(97);
+    ThreadPool pool(2);
+    sim::GraphRuntime rt(c.graph, c.states, noisyConfig(&pool));
+
+    Rng rng(98);
+    Tensor small({2, 3, 8, 8});
+    small.fillUniform(rng, 0.0f, 1.0f);
+    EXPECT_THROW(rt.forward(small), std::invalid_argument);
+    const uint64_t ids[2] = {0, 1};
+    std::vector<sim::RuntimeReport> per;
+    EXPECT_THROW(rt.forwardRequests(small, ids, &per),
+                 std::invalid_argument);
+    EXPECT_THROW(rt.forward(Tensor({2, 1, 32, 32})),
+                 std::invalid_argument);
+
+    // Nothing ran: the id counter did not move, so the next forward
+    // of a valid batch matches a fresh runtime.
+    Tensor batch({1, 3, 32, 32});
+    batch.fillUniform(rng, 0.0f, 1.0f);
+    sim::GraphRuntime fresh(c.graph, c.states, noisyConfig(&pool));
+    EXPECT_TRUE(rt.forward(batch).equals(fresh.forward(batch)));
 }
 
 } // namespace

@@ -230,42 +230,60 @@ TEST(Trace, HostSpansRecordOnlyWhenInstalled)
 
 // ---- metrics ---------------------------------------------------------
 
+/** A tiny compiled conv net with a metrics sink in its config. */
+struct MetricsNet
+{
+    Rng rng{72};
+    nn::Network net;
+    compile::Graph graph;
+    std::vector<admm::LayerState> states;
+    ThreadPool pool;
+    obs::MetricsRegistry metrics;
+    sim::RuntimeConfig rcfg;
+
+    explicit MetricsNet(int threads) : pool(threads)
+    {
+        net.emplace<nn::Conv2D>("c0", 3, 8, 3, 1, 1, rng);
+        net.emplace<nn::ReLU>("r0");
+        net.emplace<nn::Flatten>("flat");
+        net.emplace<nn::Dense>("fc", 8 * 8 * 8, 4, rng);
+        graph = compile::lowerNetwork(net);
+        graph.inferShapes({3, 8, 8});
+        states = sim::snapshotCompress(net, 8, 8);
+        rcfg.mapping.fragSize = 8;
+        rcfg.mapping.inputBits = 8;
+        rcfg.engine.adcBits = 4;
+        rcfg.pool = &pool;
+        rcfg.metrics = &metrics;
+    }
+
+    Tensor batch(int64_t n)
+    {
+        Tensor b({n, 3, 8, 8});
+        b.fillUniform(rng, 0.0f, 1.0f);
+        return b;
+    }
+
+    /** metrics.json bytes, the wall-clock gauge pinned to 0. */
+    std::string json()
+    {
+        // The wall-clock gauge is the one legitimately
+        // nondeterministic metric; pin it before comparing bytes.
+        metrics.gaugeSet("host.wall_ms", 0.0);
+        obs::JsonWriter w(/*pretty=*/true);
+        metrics.writeJson(w);
+        return w.str();
+    }
+};
+
 /** metrics.json bytes for one GraphRuntime forward on `threads`. */
 std::string
 metricsJsonAtThreads(int threads)
 {
-    Rng rng(72);
-    nn::Network net;
-    net.emplace<nn::Conv2D>("c0", 3, 8, 3, 1, 1, rng);
-    net.emplace<nn::ReLU>("r0");
-    net.emplace<nn::Flatten>("flat");
-    net.emplace<nn::Dense>("fc", 8 * 8 * 8, 4, rng);
-
-    auto graph = compile::lowerNetwork(net);
-    graph.inferShapes({3, 8, 8});
-    auto states = sim::snapshotCompress(net, 8, 8);
-
-    ThreadPool pool(threads);
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.fragSize = 8;
-    rcfg.mapping.inputBits = 8;
-    rcfg.engine.adcBits = 4;
-    rcfg.pool = &pool;
-    obs::MetricsRegistry metrics;
-    rcfg.metrics = &metrics;
-
-    sim::GraphRuntime rt(graph, states, rcfg);
-    Tensor batch({2, 3, 8, 8});
-    batch.fillUniform(rng, 0.0f, 1.0f);
-    rt.forward(batch);
-
-    // The wall-clock gauge is the one legitimately nondeterministic
-    // metric; pin it before comparing bytes.
-    metrics.gaugeSet("host.wall_ms", 0.0);
-
-    obs::JsonWriter w(/*pretty=*/true);
-    metrics.writeJson(w);
-    return w.str();
+    MetricsNet m(threads);
+    sim::GraphRuntime rt(m.graph, m.states, m.rcfg);
+    rt.forward(m.batch(2));
+    return m.json();
 }
 
 TEST(Metrics, SnapshotIsByteIdenticalAcrossThreadCounts)
@@ -277,6 +295,39 @@ TEST(Metrics, SnapshotIsByteIdenticalAcrossThreadCounts)
     // Spot-check the unified namespace.
     EXPECT_NE(one.find("engine.presentations"), std::string::npos);
     EXPECT_NE(one.find("model.time_ns"), std::string::npos);
+}
+
+TEST(Metrics, ReusedReportRecordsEachForwardOnce)
+{
+    // Three forwards of one batch on a 1-chip, 2-image micro-batch
+    // pipeline: metrics must count each forward once whether the
+    // caller passes a fresh report per call or reuses one.
+    auto run = [](bool reuse, uint64_t *presentations) {
+        MetricsNet m(2);
+        sim::PipelineRuntimeConfig pcfg;
+        pcfg.runtime = m.rcfg;
+        pcfg.microBatch = 2;
+        sim::PipelineRuntime rt(
+            m.graph, compile::Schedule::partition(m.graph, {}), m.states,
+            pcfg);
+        const Tensor batch = m.batch(4);
+        sim::PipelineReport reused;
+        for (int call = 0; call < 3; ++call) {
+            sim::PipelineReport fresh;
+            rt.forward(batch, reuse ? &reused : &fresh);
+            *presentations = fresh.nodes.presentations;
+        }
+        if (reuse)
+            *presentations = reused.nodes.presentations / 3;
+        return m.json();
+    };
+    uint64_t per_forward = 0, reused_per_forward = 0;
+    const std::string fresh = run(false, &per_forward);
+    EXPECT_EQ(fresh, run(true, &reused_per_forward));
+    EXPECT_EQ(per_forward, reused_per_forward);
+    const std::string want = "\"engine.presentations\": " +
+        std::to_string(3 * per_forward);
+    EXPECT_NE(fresh.find(want), std::string::npos) << fresh;
 }
 
 TEST(Metrics, RegistrySemantics)

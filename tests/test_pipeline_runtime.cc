@@ -15,6 +15,7 @@
 #include "compile/passes.hh"
 #include "nn/layers.hh"
 #include "nn/zoo.hh"
+#include "reram/faults.hh"
 #include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 #include "stats_testutil.hh"
@@ -107,7 +108,7 @@ TEST(PipelineRuntime, OneChipMatchesGraphRuntimeBitwise)
     ThreadPool pool(4);
     sim::RuntimeConfig gcfg = noisyConfig(&pool, 1).runtime;
     sim::GraphRuntime gr(c.graph, c.states, gcfg);
-    sim::RuntimeReport grep;
+    sim::PipelineReport grep;
     const Tensor ref = gr.forward(batch, &grep);
 
     // Micro-batched single-chip pipeline: same logits, same per-node
@@ -118,13 +119,13 @@ TEST(PipelineRuntime, OneChipMatchesGraphRuntimeBitwise)
     const Tensor got = pr.forward(batch, &prep);
 
     EXPECT_TRUE(got.equals(ref));
-    ASSERT_EQ(prep.nodes.layers.size(), grep.layers.size());
-    for (size_t i = 0; i < grep.layers.size(); ++i) {
-        EXPECT_EQ(prep.nodes.layers[i].name, grep.layers[i].name);
+    ASSERT_EQ(prep.nodes.layers.size(), grep.nodes.layers.size());
+    for (size_t i = 0; i < grep.nodes.layers.size(); ++i) {
+        EXPECT_EQ(prep.nodes.layers[i].name, grep.nodes.layers[i].name);
         expectStatsIdentical(prep.nodes.layers[i].stats,
-                             grep.layers[i].stats);
+                             grep.nodes.layers[i].stats);
     }
-    EXPECT_EQ(prep.nodes.presentations, grep.presentations);
+    EXPECT_EQ(prep.nodes.presentations, grep.nodes.presentations);
 
     // One chip, no transfers: the pipeline degenerates to serial
     // execution with zero bubbles.
@@ -198,7 +199,7 @@ TEST(PipelineRuntime, ReplicatedStagesStayBitIdenticalToGraphRuntime)
 
     ThreadPool pool(4);
     sim::GraphRuntime gr(c.graph, c.states, noisyConfig(&pool, 1).runtime);
-    sim::RuntimeReport grep;
+    sim::PipelineReport grep;
     const Tensor ref = gr.forward(batch, &grep);
 
     // The stem dwarfs the ideal share, so the DP replicates it.
@@ -210,11 +211,11 @@ TEST(PipelineRuntime, ReplicatedStagesStayBitIdenticalToGraphRuntime)
     const Tensor got = pr.forward(batch, &prep);
 
     EXPECT_TRUE(got.equals(ref));
-    ASSERT_EQ(prep.nodes.layers.size(), grep.layers.size());
-    for (size_t i = 0; i < grep.layers.size(); ++i) {
-        EXPECT_EQ(prep.nodes.layers[i].name, grep.layers[i].name);
+    ASSERT_EQ(prep.nodes.layers.size(), grep.nodes.layers.size());
+    for (size_t i = 0; i < grep.nodes.layers.size(); ++i) {
+        EXPECT_EQ(prep.nodes.layers[i].name, grep.nodes.layers[i].name);
         expectStatsIdentical(prep.nodes.layers[i].stats,
-                             grep.layers[i].stats);
+                             grep.nodes.layers[i].stats);
     }
 
     // The report reflects the replicated shape: fewer stages than
@@ -235,6 +236,70 @@ TEST(PipelineRuntime, ReplicatedStagesStayBitIdenticalToGraphRuntime)
     EXPECT_FALSE(drifted.equals(ref));
     pr.resetPresentationStreams();
     EXPECT_TRUE(pr.forward(batch).equals(ref));
+}
+
+TEST(PipelineRuntime, ReplicasShareOneEngineAndKeepPerChipCounts)
+{
+    // A replicated stage programs its node once: every replica slice
+    // runs on that one engine, while the per-chip inventory still
+    // charges the node to each chip it spans, as if each held its own
+    // copy. The pinned counts cover a column-kill fault map with and
+    // without remap.
+    CompiledStemHeavy c(181);
+    Rng rng(182);
+    Tensor batch({2, 3, 32, 32});
+    batch.fillUniform(rng, 0.0f, 1.0f);
+    reram::FaultConfig fc;
+    fc.columnKillRate = 0.01;
+    fc.seed = 184;
+    const reram::FaultMap map(fc);
+
+    ThreadPool pool(2);
+    for (const bool remap : {true, false}) {
+        sim::PipelineRuntimeConfig cfg = noisyConfig(&pool, 2);
+        cfg.runtime.faults = &map;
+        cfg.runtime.remapFaults = remap;
+        cfg.runtime.mapping.spareXbars = remap ? 16 : 0;
+        auto sched = partitionFor(c.graph, 4, 1.0, 3);
+        ASSERT_TRUE(sched.replicated());
+
+        // The executable form: the stem spans chips 0-2 on one engine
+        // bound to the node's own mapping.
+        const auto execs =
+            sim::buildNodeExecs(c.graph, sched, c.states, cfg.runtime);
+        int replicated = 0;
+        for (const sim::NodeExec &e : execs) {
+            if (!e.engine || e.replicaChips.size() < 2)
+                continue;
+            ++replicated;
+            EXPECT_EQ(e.name, "stem");
+            EXPECT_EQ(e.replicaChips, (std::vector<int>{0, 1, 2}));
+            EXPECT_EQ(&e.engine->layer(), e.mapped.get());
+        }
+        EXPECT_EQ(replicated, 1);
+
+        sim::PipelineRuntime rt(c.graph, std::move(sched), c.states, cfg);
+        sim::PipelineReport rep;
+        rt.forward(batch, &rep);
+        EXPECT_EQ(rt.programmedNodes(), 3u);
+        EXPECT_EQ(rt.totalCrossbars(), 22);
+        ASSERT_EQ(rep.chips.size(), 4u);
+        const size_t programmed[4] = {1, 1, 1, 2};
+        const int64_t crossbars[4] = {1, 1, 1, 19};
+        const int64_t faulty[4] = {1, 1, 1, 4};
+        const int64_t remapped[4] = {1, 1, 1, 4};
+        for (size_t i = 0; i < 4; ++i) {
+            const sim::ChipReport &ch = rep.chips[i];
+            EXPECT_EQ(ch.programmedNodes, programmed[i]) << "chip " << i;
+            EXPECT_EQ(ch.crossbars, crossbars[i]) << "chip " << i;
+            EXPECT_EQ(ch.faultyCrossbars, remap ? 0 : faulty[i])
+                << "chip " << i;
+            EXPECT_EQ(ch.remappedCrossbars, remap ? remapped[i] : 0)
+                << "chip " << i;
+        }
+        EXPECT_EQ(rep.faultyCrossbars, remap ? 0 : 7);
+        EXPECT_EQ(rep.remappedCrossbars, remap ? 7 : 0);
+    }
 }
 
 TEST(PipelineRuntime, TilePipelineIsTimingOnlyAndShortensMakespan)

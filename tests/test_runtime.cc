@@ -89,11 +89,13 @@ TEST(Runtime, ForwardBitIdenticalAcrossThreadCounts)
     EXPECT_GE(serial_rt.nodes(), serial_rt.programmedNodes());
     EXPECT_GT(serial_rt.totalCrossbars(), 0);
 
-    sim::RuntimeReport serial_rep, parallel_rep;
+    sim::PipelineReport serial_prep, parallel_prep;
     const Tensor serial_logits =
-        serial_rt.forward(data.test().images, &serial_rep);
+        serial_rt.forward(data.test().images, &serial_prep);
     const Tensor parallel_logits =
-        parallel_rt.forward(data.test().images, &parallel_rep);
+        parallel_rt.forward(data.test().images, &parallel_prep);
+    const sim::RuntimeReport &serial_rep = serial_prep.nodes;
+    const sim::RuntimeReport &parallel_rep = parallel_prep.nodes;
 
     EXPECT_TRUE(serial_logits.equals(parallel_logits));
 
@@ -140,15 +142,15 @@ TEST(Runtime, ReportAccumulatesAcrossForwards)
 
     // One report over two minibatches: per-layer rows merge in place
     // instead of duplicating, and the counters accumulate.
-    sim::RuntimeReport rep;
+    sim::PipelineReport rep;
     rt.forward(batch, &rep);
-    const size_t rows = rep.layers.size();
-    const uint64_t pres = rep.presentations;
-    const uint64_t first_layer_pres = rep.layers[0].stats.presentations;
+    const size_t rows = rep.nodes.layers.size();
+    const uint64_t pres = rep.nodes.presentations;
+    const uint64_t first_layer_pres = rep.nodes.layers[0].stats.presentations;
     rt.forward(batch, &rep);
-    EXPECT_EQ(rep.layers.size(), rows);
-    EXPECT_EQ(rep.presentations, 2 * pres);
-    EXPECT_EQ(rep.layers[0].stats.presentations, 2 * first_layer_pres);
+    EXPECT_EQ(rep.nodes.layers.size(), rows);
+    EXPECT_EQ(rep.nodes.presentations, 2 * pres);
+    EXPECT_EQ(rep.nodes.layers[0].stats.presentations, 2 * first_layer_pres);
 }
 
 TEST(Runtime, AccuracyRunsAndIsBounded)

@@ -143,19 +143,6 @@ TEST(Schedule, UniformChainSplitsEvenlyWithSmallestCutFirst)
     EXPECT_EQ(s.chipNodes()[1].size(), 5u);
 }
 
-TEST(Schedule, CapacityVectorShiftsTheBoundary)
-{
-    // Chip 0 twice as capable: the balance objective normalizes by
-    // capacity, so it takes 6 of the 9 uniform nodes.
-    auto g = reluChain(8);
-    compile::ScheduleConfig cfg;
-    cfg.chips = 2;
-    cfg.capacity = {2.0, 1.0};
-    const auto s = compile::Schedule::partition(g, cfg);
-    EXPECT_EQ(s.chipNodes()[0].size(), 6u);
-    EXPECT_EQ(s.chipNodes()[1].size(), 3u);
-}
-
 TEST(Schedule, TransfersAreNeighborHopsWithTensorBytes)
 {
     auto g = reluChain(8);
@@ -498,23 +485,6 @@ TEST(HeterogeneousChips, DefaultSpecsReproduceHomogeneousBitwise)
     }
 }
 
-TEST(HeterogeneousChips, CapacityFieldMatchesLegacyCapacityVector)
-{
-    auto g = reluChain(8);
-    compile::ScheduleConfig legacy;
-    legacy.chips = 2;
-    legacy.capacity = {2.0, 1.0};
-    compile::ScheduleConfig spec;
-    spec.chips = 2;
-    spec.chipSpecs.resize(2);
-    spec.chipSpecs[0].capacity = 2.0;
-    const auto a = compile::Schedule::partition(g, legacy);
-    const auto b = compile::Schedule::partition(g, spec);
-    EXPECT_EQ(a.chipNodes()[0].size(), b.chipNodes()[0].size());
-    EXPECT_EQ(b.chipNodes()[0].size(), 6u);
-    EXPECT_EQ(b.chipNodes()[1].size(), 3u);
-}
-
 TEST(HeterogeneousChips, CapacityShiftsTheBoundaryUnderEveryModel)
 {
     auto g = reluChain(8);
@@ -576,15 +546,6 @@ TEST(HeterogeneousChips, PartitionRecordsTheResolvedSpecs)
     ASSERT_EQ(s.chipSpecs().size(), 2u);
     EXPECT_DOUBLE_EQ(s.chipSpecs()[0].capacity, 2.0);
     EXPECT_DOUBLE_EQ(s.chipSpecs()[1].linkIn, 0.5);
-
-    // Legacy capacity vectors surface through the same accessor.
-    compile::ScheduleConfig legacy;
-    legacy.chips = 2;
-    legacy.capacity = {2.0, 1.0};
-    const auto l = compile::Schedule::partition(g, legacy);
-    ASSERT_EQ(l.chipSpecs().size(), 2u);
-    EXPECT_DOUBLE_EQ(l.chipSpecs()[0].capacity, 2.0);
-    EXPECT_DOUBLE_EQ(l.chipSpecs()[1].capacity, 1.0);
 }
 
 TEST(HeterogeneousChips, MalformedSpecsDie)

@@ -590,6 +590,111 @@ TEST(Serving, BackendExceptionFailsOnlyItsBatch)
     EXPECT_EQ(completed, 4u);
 }
 
+TEST(Serving, BatcherTakesTheFifoPrefixSharingTheOldestShape)
+{
+    // While the backend is busy, queue A A B A: the batcher must not
+    // mix shapes, and must not reorder past the odd one out — so the
+    // queued work runs as [A] [B] [A] behind the blocked first batch.
+    EchoBackend backend;
+    backend.block = true;
+    serve::ServerConfig sc;
+    sc.maxBatch = 4;
+    sc.maxDelayUs = 1000;
+    serve::Server server(backend, sc);
+
+    auto first = server.submit(Tensor({2}, 0.0f), 0);
+    while (backend.entered.load() < 1)
+        std::this_thread::yield();
+    std::vector<std::future<serve::Response>> futs;
+    futs.push_back(server.submit(Tensor({2}, 0.0f), 1));
+    futs.push_back(server.submit(Tensor({2}, 0.0f), 2));
+    futs.push_back(server.submit(Tensor({3}, 0.0f), 3));
+    futs.push_back(server.submit(Tensor({2}, 0.0f), 4));
+    backend.release();
+    EXPECT_EQ(first.get().status, serve::Status::Ok);
+    for (size_t i = 0; i < futs.size(); ++i) {
+        const serve::Response r = futs[i].get();
+        EXPECT_EQ(r.status, serve::Status::Ok) << "request " << i + 1;
+        EXPECT_EQ(r.logits.data()[0], static_cast<float>(i + 1));
+    }
+    server.shutdown();
+    EXPECT_EQ(backend.sizes(), (std::vector<int>{1, 2, 1, 1}));
+}
+
+TEST(Serving, MisShapedRequestFailsAloneAndServerKeepsServing)
+{
+    // One request of the wrong image shape in a stream of valid ones:
+    // the runtime rejects it, so it resolves Failed, while every valid
+    // response still equals its single-request reference bitwise.
+    TinyModel m;
+    ThreadPool srv_pool(2);
+    sim::GraphRuntime rt(m.graph, m.states, noisyCfg(&srv_pool));
+    serve::GraphBackend backend(rt);
+    obs::MetricsRegistry metrics;
+    serve::ServerConfig sc;
+    sc.maxBatch = 4;
+    sc.maxDelayUs = 2000;
+    sc.metrics = &metrics;
+    serve::Server server(backend, sc);
+
+    ThreadPool ref_pool(1);
+    sim::GraphRuntime ref_rt(m.graph, m.states, noisyCfg(&ref_pool));
+
+    constexpr int kReq = 8, kBad = 2;
+    std::vector<Tensor> ref(kReq);
+    std::vector<std::future<serve::Response>> futs;
+    for (int i = 0; i < kReq; ++i) {
+        const uint64_t id = static_cast<uint64_t>(i);
+        Rng irng(700 + id);
+        const int64_t hw = i == kBad ? kHw - 4 : kHw;
+        Tensor img({3, hw, hw});
+        img.fillUniform(irng, 0.0f, 1.0f);
+        if (i != kBad) {
+            Tensor one({1, 3, kHw, kHw});
+            std::memcpy(one.data(), img.data(),
+                        static_cast<size_t>(img.numel()) * sizeof(float));
+            ref[static_cast<size_t>(i)] = ref_rt.forwardRequests(one, &id);
+        }
+        futs.push_back(server.submit(std::move(img), id));
+    }
+
+    const int64_t out_elems = ref[0].numel();
+    for (int i = 0; i < kReq; ++i) {
+        serve::Response r = futs[static_cast<size_t>(i)].get();
+        if (i == kBad) {
+            EXPECT_EQ(r.status, serve::Status::Failed);
+            EXPECT_EQ(r.logits.numel(), 0);
+            continue;
+        }
+        ASSERT_EQ(r.status, serve::Status::Ok) << "request " << i;
+        ASSERT_EQ(r.logits.numel(), out_elems);
+        expectRowBitIdentical(r.logits.data(),
+                              ref[static_cast<size_t>(i)].data(),
+                              out_elems, "request " + std::to_string(i));
+    }
+
+    // Still serving after the failure.
+    const uint64_t id = kReq;
+    Rng irng(700 + id);
+    Tensor img({3, kHw, kHw});
+    img.fillUniform(irng, 0.0f, 1.0f);
+    Tensor one({1, 3, kHw, kHw});
+    std::memcpy(one.data(), img.data(),
+                static_cast<size_t>(img.numel()) * sizeof(float));
+    const Tensor want = ref_rt.forwardRequests(one, &id);
+    serve::Response r = server.submit(std::move(img), id).get();
+    ASSERT_EQ(r.status, serve::Status::Ok);
+    expectRowBitIdentical(r.logits.data(), want.data(), out_elems,
+                          "request after the failure");
+    server.shutdown();
+
+    uint64_t failed = 0;
+    for (const auto &[name, v] : metrics.snapshot().counters)
+        if (name == "serve.failed")
+            failed = v;
+    EXPECT_EQ(failed, 1u);
+}
+
 TEST(Serving, MetricNamesAreDocumented)
 {
     // Exercise every serve.* instrument (including a rejection), then

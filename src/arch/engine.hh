@@ -152,7 +152,7 @@ class CrossbarEngine
      * bit-identical outputs for the same key, whatever either ran
      * before — the mechanism behind the serving layer's
      * batch-invariance contract (docs/SERVING.md) and the replica
-     * slicing of sim::StageEngines. Presentations shard across `pool`
+     * slicing of sim::NodeExec. Presentations shard across `pool`
      * (null = the process-wide pool) and per-presentation stats merge
      * into `stats` in ascending j order, so outputs AND merged stats
      * are bit-identical for any thread count, and running [lo, k) then

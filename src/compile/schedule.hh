@@ -20,7 +20,7 @@
  *     deterministic, presentation-index-keyed slice of each
  *     micro-batch (replica r of R takes the contiguous
  *     presentation range [floor(P*r/R), floor(P*(r+1)/R)) — see
- *     sim/stage_kernels.hh), so an early layer that would otherwise
+ *     sim::NodeExec), so an early layer that would otherwise
  *     dominate the critical path is spread R ways, ISAAC/FORMS-style.
  *
  * Stage assignments stay contiguous in topological order, so

@@ -2,23 +2,30 @@
 
 namespace forms::sim {
 
+namespace {
+
+/** Accumulate one EngineStats under "engine.*" counter/gauge names. */
 void
-recordEngineMetrics(obs::MetricsRegistry &m, const arch::EngineStats &s,
-                    const std::string &prefix)
+recordEngineMetrics(obs::MetricsRegistry &m, const arch::EngineStats &s)
 {
-    m.counterAdd(prefix + ".presentations", s.presentations);
-    m.counterAdd(prefix + ".bit_cycles", s.bitCycles);
-    m.counterAdd(prefix + ".skipped_cycles", s.skippedCycles);
-    m.counterAdd(prefix + ".adc_samples", s.adcSamples);
-    m.counterAdd(prefix + ".quant_values", s.quantValues);
-    m.counterAdd(prefix + ".quant_clipped", s.quantClipped);
-    m.gaugeSet(prefix + ".skip_fraction", s.skipFraction());
-    m.gaugeSet(prefix + ".clip_fraction", s.clipFraction());
-    m.gaugeSet(prefix + ".adc_energy_pj", s.adcEnergyPj);
-    m.gaugeSet(prefix + ".crossbar_energy_pj", s.crossbarEnergyPj);
-    m.gaugeSet(prefix + ".time_ns", s.timeNs);
+    m.counterAdd("engine.presentations", s.presentations);
+    m.counterAdd("engine.bit_cycles", s.bitCycles);
+    m.counterAdd("engine.skipped_cycles", s.skippedCycles);
+    m.counterAdd("engine.adc_samples", s.adcSamples);
+    m.counterAdd("engine.quant_values", s.quantValues);
+    m.counterAdd("engine.quant_clipped", s.quantClipped);
+    m.gaugeSet("engine.skip_fraction", s.skipFraction());
+    m.gaugeSet("engine.clip_fraction", s.clipFraction());
+    m.gaugeSet("engine.adc_energy_pj", s.adcEnergyPj);
+    m.gaugeSet("engine.crossbar_energy_pj", s.crossbarEnergyPj);
+    m.gaugeSet("engine.time_ns", s.timeNs);
 }
 
+/**
+ * Record a runtime report: merged engine totals under "engine.*",
+ * modeled time/energy gauges under "model.*", per-layer distributions
+ * under "layer.*".
+ */
 void
 recordRuntimeMetrics(obs::MetricsRegistry &m, const RuntimeReport &r)
 {
@@ -36,6 +43,8 @@ recordRuntimeMetrics(obs::MetricsRegistry &m, const RuntimeReport &r)
     m.gaugeSet("model.energy_pj", r.modelEnergyPj());
     m.gaugeSet("host.wall_ms", r.wallMs);
 }
+
+} // namespace
 
 void
 recordPipelineMetrics(obs::MetricsRegistry &m, const PipelineReport &r)

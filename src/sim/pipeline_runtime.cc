@@ -7,7 +7,6 @@
 
 #include "obs/trace.hh"
 #include "sim/obs_glue.hh"
-#include "sim/stage_kernels.hh"
 
 namespace forms::sim {
 
@@ -20,6 +19,25 @@ hosts(const NodeExec &e, int chip)
     return e.engine &&
         std::find(e.replicaChips.begin(), e.replicaChips.end(), chip) !=
             e.replicaChips.end();
+}
+
+/** Fraction of argmax(logits) == label over a labelled batch. */
+double
+logitsAccuracy(const Tensor &logits, const std::vector<int> &labels)
+{
+    FORMS_ASSERT(logits.dim(0) == static_cast<int64_t>(labels.size()),
+                 "accuracy: label count mismatch");
+    const int64_t n = logits.dim(0), k = logits.dim(1);
+    int64_t hits = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        int64_t best = 0;
+        for (int64_t j = 1; j < k; ++j)
+            if (logits.at(i, j) > logits.at(i, best))
+                best = j;
+        hits += best == labels[static_cast<size_t>(i)];
+    }
+    return n > 0 ? static_cast<double>(hits) / static_cast<double>(n)
+                 : 0.0;
 }
 
 } // namespace
@@ -155,6 +173,7 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
             static_cast<size_t>(num_mb)));
 
     std::vector<Tensor> mb_out(static_cast<size_t>(num_mb));
+    std::vector<PhaseSample> samples;
     for (int m = 0; m < num_mb; ++m) {
         const int64_t lo = static_cast<int64_t>(m) * mb;
         const int64_t count = std::min(mb, images - lo);
@@ -165,34 +184,35 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
                     static_cast<size_t>(count * sample_elems) *
                         sizeof(float));
 
+        samples.clear();
         mb_out[static_cast<size_t>(m)] = runGraph(
             graph_, execs_, micro, ids + lo, tp,
-            cfg_.runtime.mapping.inputBits, node_stats,
-            [&](size_t idx, int replica, const PhaseSample &ps) {
-                const int chip = execs_[idx].replicaChips
-                    [static_cast<size_t>(replica)];
-                // Heterogeneous fleets: a chip's modeled phase times
-                // shrink by its relative throughput (and ADC rate for
-                // the conversion phase). All-default specs divide by
-                // exactly 1.0, so homogeneous timing is bit-identical
-                // to the historical model.
-                const compile::ChipSpec &spec =
-                    sched_.chipSpecs()[static_cast<size_t>(chip)];
-                PhaseInterval pi;
-                pi.quantNs =
-                    cfg_.tile.quantNs(ps.quantValues) / spec.capacity;
-                pi.computeNs =
-                    ps.adcNs / (spec.capacity * spec.adcScale);
-                pi.bitCycles = ps.bitCycles;
-                pi.skippedCycles = ps.skippedCycles;
-                phases[static_cast<size_t>(chip)][static_cast<size_t>(m)]
-                    .push_back(pi);
-            },
+            cfg_.runtime.mapping.inputBits, node_stats, samples,
             per_request ? per_image.data() + lo : nullptr, images);
+        for (const PhaseSample &ps : samples) {
+            // Heterogeneous fleets: a chip's modeled phase times
+            // shrink by its relative throughput (and ADC rate for the
+            // conversion phase). All-default specs divide by exactly
+            // 1.0, so homogeneous timing is bit-identical to the
+            // historical model.
+            const compile::ChipSpec &spec =
+                sched_.chipSpecs()[static_cast<size_t>(ps.chip)];
+            PhaseInterval pi;
+            pi.quantNs = cfg_.tile.quantNs(ps.quantValues) / spec.capacity;
+            pi.computeNs = ps.adcNs / (spec.capacity * spec.adcScale);
+            pi.bitCycles = ps.bitCycles;
+            pi.skippedCycles = ps.skippedCycles;
+            phases[static_cast<size_t>(ps.chip)][static_cast<size_t>(m)]
+                .push_back(pi);
+        }
     }
-    if (per_request)
-        recordPerImageRows(execs_, per_image.data(), images, images,
-                           *per_request);
+    if (per_request) {
+        if (per_request->size() < static_cast<size_t>(images))
+            per_request->resize(static_cast<size_t>(images));
+        for (int64_t i = 0; i < images; ++i)
+            recordNodeRows(execs_, per_image.data() + i, images,
+                           (*per_request)[static_cast<size_t>(i)]);
+    }
 
     // Stitch the micro-batch outputs back into one batch tensor.
     Shape out_shape = mb_out[0].shape();
@@ -213,7 +233,7 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
     // about the computation above.
     if (report || cfg_.trace || cfg_.runtime.metrics) {
         PipelineReport rep;   // this forward alone
-        recordNodeRows(execs_, node_stats, rep.nodes);
+        recordNodeRows(execs_, node_stats.data(), 1, rep.nodes);
         rep.nodes.wallMs = std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0).count();
 
@@ -373,8 +393,8 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
         rep.overlapSavedNs = overlap_saved;
 
         if (cfg_.trace) {
-            emitTrace(*cfg_.trace, phases, busy, stage_busy_sm, done,
-                      mb, images);
+            emitTrace(*cfg_.trace, rep.chips, phases, busy, stage_busy_sm,
+                      done, mb, images);
         }
         // Metrics take this forward's rows alone, so their counters
         // accumulate per-call deltas whether or not the caller reuses
@@ -383,7 +403,7 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
             recordPipelineMetrics(*cfg_.runtime.metrics, rep);
         if (report) {
             // The caller's per-node rows accumulate across forwards.
-            recordNodeRows(execs_, node_stats, report->nodes);
+            recordNodeRows(execs_, node_stats.data(), 1, report->nodes);
             report->nodes.wallMs += rep.nodes.wallMs;
             rep.nodes = std::move(report->nodes);
             *report = std::move(rep);
@@ -411,7 +431,7 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
  */
 void
 PipelineRuntime::emitTrace(
-    obs::TraceSession &tr,
+    obs::TraceSession &tr, const std::vector<ChipReport> &chips,
     const std::vector<std::vector<std::vector<PhaseInterval>>> &phases,
     const std::vector<std::vector<double>> &busy,
     const std::vector<std::vector<double>> &stage_busy_sm,
@@ -435,28 +455,19 @@ PipelineRuntime::emitTrace(
     // chip carrying programmed engines with overlaid faults, so the
     // fleet's fault/remap coverage is visible next to the timeline it
     // degrades.
-    if (cfg_.runtime.faults) {
-        for (int c = 0; c < n_chips; ++c) {
-            int64_t faulty = 0, remapped = 0;
-            for (const NodeExec &e : execs_) {
-                if (!hosts(e, c))
-                    continue;
-                faulty += e.engine->faultyCrossbars();
-                remapped += e.remap.remappedCrossbars;
-            }
-            if (faulty == 0 && remapped == 0)
-                continue;
-            tr.slice(c + 1, 1, "fault-map", "fault", 0.0, 0.0,
-                     {{"chip", c},
-                      {"faulty_crossbars",
-                       static_cast<uint64_t>(faulty)},
-                      {"remapped_crossbars",
-                       static_cast<uint64_t>(remapped)}});
-        }
+    for (const ChipReport &c : chips) {
+        if (c.faultyCrossbars == 0 && c.remappedCrossbars == 0)
+            continue;
+        tr.slice(c.chip + 1, 1, "fault-map", "fault", 0.0, 0.0,
+                 {{"chip", c.chip},
+                  {"faulty_crossbars",
+                   static_cast<uint64_t>(c.faultyCrossbars)},
+                  {"remapped_crossbars",
+                   static_cast<uint64_t>(c.remappedCrossbars)}});
     }
 
-    // Hosted programmed-node names per chip, in the order the
-    // PhaseSink pushed their PhaseIntervals: nodes execute in
+    // Hosted programmed-node names per chip, in the order runGraph
+    // emitted their PhaseSamples: nodes execute in
     // topological order and each hosting chip receives exactly one
     // interval per node per micro-batch.
     std::vector<std::vector<const char *>> chip_names(

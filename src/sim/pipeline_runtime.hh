@@ -22,7 +22,7 @@
  *
  * The pipeline overlap is a *timing model* layered on a functionally
  * exact execution: numerically, every micro-batch flows through the
- * identical kernels (sim/stage_kernels.hh) in the graph's
+ * identical kernels (sim/graph_exec.hh) in the graph's
  * deterministic topological order, so
  *
  *   - logits are bit-identical for ANY chip count, micro-batch size,
@@ -42,10 +42,11 @@
  * (presentation) order; a replicated node's accumulator spans all its
  * replicas and is attributed to the stage's primary (first) chip.
  *
- * Timing model: per (chip, micro-batch) the runtime collects one
- * sim::PhaseInterval per hosted programmed node — the digital
- * input-quantization phase and the ADC-limited phase — and reduces
- * them with sim::chipBusyNs (per-phase busy intervals; with
+ * Timing model: runGraph hands back one sim::PhaseSample per
+ * (programmed node, replica) of each micro-batch, and the runtime
+ * turns each into a sim::PhaseInterval on the replica's chip — the
+ * digital input-quantization phase and the ADC-limited phase — and
+ * reduces each (chip, micro-batch)'s intervals with sim::chipBusyNs (per-phase busy intervals; with
  * TilePipeline::overlap, layer L's ADC phase hides layer L+1's
  * quantization within a chip). Stages then close the recurrence
  *
@@ -310,9 +311,12 @@ class PipelineRuntime
 
     ThreadPool &pool() const;
 
-    /** Reconstruct the modeled timeline into a trace session. */
+    /**
+     * Reconstruct the modeled timeline into a trace session; `chips`
+     * is this forward's per-chip report (fault markers read it).
+     */
     void emitTrace(
-        obs::TraceSession &tr,
+        obs::TraceSession &tr, const std::vector<ChipReport> &chips,
         const std::vector<std::vector<std::vector<PhaseInterval>>>
             &phases,
         const std::vector<std::vector<double>> &busy,

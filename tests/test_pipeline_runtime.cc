@@ -302,6 +302,49 @@ TEST(PipelineRuntime, ReplicasShareOneEngineAndKeepPerChipCounts)
     }
 }
 
+TEST(PipelineRuntime, PhaseCyclesAreTheNodeStatsOwn)
+{
+    // The timing model charges each chip the cycles its replica slices
+    // presented: summed over chips they are exactly the per-node
+    // stats' counters, with nothing dropped or double-counted across a
+    // replicated stage or micro-batch boundaries.
+    CompiledStemHeavy c(191);
+    Rng rng(192);
+    Tensor batch({5, 3, 32, 32});
+    batch.fillUniform(rng, 0.0f, 1.0f);
+
+    ThreadPool pool(2);
+    sim::PipelineRuntimeConfig cfg = noisyConfig(&pool, 2);
+    cfg.runtime.engine.zeroSkip = true;
+    auto sched = partitionFor(c.graph, 4, 1.0, 3);
+    ASSERT_TRUE(sched.replicated());
+    sim::PipelineRuntime rt(c.graph, std::move(sched), c.states, cfg);
+    sim::PipelineReport rep;
+    rt.forward(batch, &rep);
+
+    uint64_t node_bits = 0, node_skipped = 0, node_quant = 0;
+    for (const auto &layer : rep.nodes.layers) {
+        node_bits += layer.stats.bitCycles;
+        node_skipped += layer.stats.skippedCycles;
+        node_quant += layer.stats.quantValues;
+    }
+    uint64_t chip_bits = 0, chip_skipped = 0;
+    double chip_quant_ns = 0.0;
+    ASSERT_EQ(rep.chips.size(), 4u);
+    for (const sim::ChipReport &ch : rep.chips) {
+        EXPECT_GT(ch.adcBitCycles, 0u) << "chip " << ch.chip;
+        chip_bits += ch.adcBitCycles;
+        chip_skipped += ch.adcSkippedCycles;
+        chip_quant_ns += ch.quantNs;
+    }
+    EXPECT_GT(node_skipped, 0u);
+    EXPECT_EQ(chip_bits, node_bits);
+    EXPECT_EQ(chip_skipped, node_skipped);
+    EXPECT_DOUBLE_EQ(chip_quant_ns,
+                     cfg.tile.quantNsPerValue *
+                         static_cast<double>(node_quant));
+}
+
 TEST(PipelineRuntime, TilePipelineIsTimingOnlyAndShortensMakespan)
 {
     CompiledResNet c(171);

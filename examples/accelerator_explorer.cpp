@@ -2,14 +2,14 @@
  * @file
  * Scenario: an architect explores the FORMS design space — fragment
  * size against ADC provisioning, chip cost and delivered FPS on a
- * real workload (ResNet-50, ImageNet dimensions) — and compares the
- * sign-handling schemes' crossbar bills. Exercises the performance
- * model, circuit cost models and pipeline timing end to end.
+ * real workload (ResNet-50, ImageNet dimensions) — then reads the
+ * heaviest layers' per-layer timing. Exercises the performance model
+ * and circuit cost models end to end.
  */
 
+#include <algorithm>
 #include <cstdio>
 
-#include "arch/pipeline.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "sim/perf_model.hh"
@@ -66,25 +66,5 @@ main()
             .cell(100.0 * lp.workNs / res.totalWorkNs, 1);
     }
     b.print("Heaviest layers at fragment size 8");
-
-    // Pipeline view (Figure 12) for the heaviest layer.
-    const auto &hot = wl.layers[idx[0]];
-    arch::PipelineConfig pcfg;
-    pcfg.cycleNs = 15.2;
-    const double ii_skip =
-        (128.0 / 8.0) * model.effectiveBitsFor(chosen);
-    const double ii_full = (128.0 / 8.0) * 16.0;
-    const auto skip = arch::layerPipelineTiming(
-        pcfg, static_cast<uint64_t>(hot.presentations()), ii_skip,
-        hot.pools);
-    const auto full = arch::layerPipelineTiming(
-        pcfg, static_cast<uint64_t>(hot.presentations()), ii_full,
-        hot.pools);
-    std::printf("\npipeline on '%s': %.1f us with zero-skip vs %.1f us "
-                "without (%.0f%% saved) for %lld presentations\n",
-                hot.name.c_str(), skip.totalNs / 1000.0,
-                full.totalNs / 1000.0,
-                100.0 * (1.0 - skip.totalNs / full.totalNs),
-                static_cast<long long>(hot.presentations()));
     return 0;
 }

@@ -1,8 +1,42 @@
 #include "arch/mapping.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace forms::arch {
+
+namespace {
+
+/**
+ * Dual-array fallback (mapping.hh): append `pos` split into its
+ * positive-weight (+1) and negative-weight (-1) crossbars.
+ */
+void
+appendDualPair(MappedCrossbar &&pos, const admm::WeightView &view,
+               std::vector<MappedCrossbar> &out)
+{
+    MappedCrossbar neg = pos;
+    neg.physId = pos.physId + 1;
+    std::fill(pos.fragSign.begin(), pos.fragSign.end(), int8_t{1});
+    std::fill(neg.fragSign.begin(), neg.fragSign.end(), int8_t{-1});
+    for (int r = 0; r < pos.rows; ++r) {
+        const int nat = pos.inputIndex[static_cast<size_t>(r)];
+        for (int wc = 0; wc < pos.weightCols; ++wc) {
+            const size_t i = static_cast<size_t>(r) *
+                static_cast<size_t>(pos.weightCols) +
+                static_cast<size_t>(wc);
+            if (view.get(nat, pos.outputIndex[static_cast<size_t>(wc)]) >
+                0.0f)
+                neg.magnitude[i] = 0;
+            else
+                pos.magnitude[i] = 0;
+        }
+    }
+    out.push_back(std::move(pos));
+    out.push_back(std::move(neg));
+}
+
+} // namespace
 
 MappedLayer
 mapLayer(const admm::LayerState &state, const MappingConfig &cfg)
@@ -82,6 +116,7 @@ mapLayer(const admm::LayerState &state, const MappingConfig &cfg)
                 static_cast<size_t>(xb.weightCols) *
                 static_cast<size_t>(xb.fragsUsed), 1);
 
+            bool mixed = false;
             for (int wc = 0; wc < xb.weightCols; ++wc) {
                 const int j = xb.outputIndex[static_cast<size_t>(wc)];
                 for (int f = 0; f < xb.fragsUsed; ++f) {
@@ -100,15 +135,10 @@ mapLayer(const admm::LayerState &state, const MappingConfig &cfg)
                                      static_cast<size_t>(wc)] = mag;
                         if (w != 0.0f && mag != 0) {
                             const int s = w > 0.0f ? 1 : -1;
-                            if (frag_sign == 0) {
+                            if (frag_sign == 0)
                                 frag_sign = s;
-                            } else {
-                                FORMS_ASSERT(frag_sign == s,
-                                    "fragment with mixed signs cannot be "
-                                    "mapped (layer '%s', col %d): run the "
-                                    "polarization phase first",
-                                    state.name.c_str(), j);
-                            }
+                            else if (frag_sign != s)
+                                mixed = true;
                         }
                     }
                     xb.fragSign[static_cast<size_t>(wc) *
@@ -118,7 +148,10 @@ mapLayer(const admm::LayerState &state, const MappingConfig &cfg)
                                        : static_cast<int8_t>(frag_sign);
                 }
             }
-            layer.crossbars.push_back(std::move(xb));
+            if (mixed)
+                appendDualPair(std::move(xb), view, layer.crossbars);
+            else
+                layer.crossbars.push_back(std::move(xb));
         }
     }
     return layer;

@@ -7,8 +7,17 @@
  * crossbar and p*n weight columns, each weight occupying
  * cellsPerWeight adjacent cell columns. Only magnitudes are stored;
  * each fragment's sign lives in the 1R sign indicator. The same
- * FragmentPlan that drove ADMM polarization drives the mapping, so
- * sub-array columns are single-signed by construction.
+ * FragmentPlan that drove ADMM polarization drives the mapping, so a
+ * polarized layer's sub-array columns are single-signed and each tile
+ * is one crossbar.
+ *
+ * A tile that holds a mixed-sign fragment (an unpolarized layer) takes
+ * the conventional dual-array scheme (PRIME, paper §II-B) instead: it
+ * becomes a pair of crossbars over the same rows and columns, one for
+ * the positive weights with every sign +1 and one for the negative
+ * weights with every sign -1, on consecutive physical ids. Consumers
+ * sum every crossbar into its output index, so the pair needs no
+ * special handling downstream; it only costs twice the arrays.
  */
 
 #ifndef FORMS_ARCH_MAPPING_HH
@@ -38,9 +47,6 @@ struct MappingConfig
 
     /** Weight columns that fit on one crossbar. */
     int weightColsPerXbar() const { return xbarCols / cellsPerWeight(); }
-
-    /** Fragments stacked vertically per crossbar. */
-    int fragsPerXbar() const { return xbarRows / fragSize; }
 };
 
 /** One weight's placement: magnitude plus indices. */
@@ -95,7 +101,8 @@ struct MappedLayer
 /**
  * Map a compressed layer. Pruned rows/columns are compacted away; the
  * surviving rows keep the polarization-plan ordering so fragments land
- * intact in sub-array columns.
+ * intact in sub-array columns. Tiles with a mixed-sign fragment map as
+ * a positive/negative crossbar pair (file comment).
  *
  * @param state per-layer ADMM state (weights + plan + mask + signs)
  * @param cfg physical geometry

@@ -3,17 +3,18 @@
  * Deterministic hard-fault injection for ReRAM crossbars: stuck-at
  * cells, killed bitline columns and log-normally drifted devices.
  *
- * Unlike the Gaussian programming variation in reram/variation.hh /
- * CellConfig::variationSigma — which models analog write noise drawn
- * from the engine's programming stream — a FaultMap is *state*, not
- * noise: the fault pattern of a physical crossbar is a pure function
- * of (seed, faultKey, physId), drawn over the full physical geometry
- * so it does not depend on how many rows or columns a layer happens
- * to use. Two runtimes programming the same logical layer onto the
- * same physical crossbar therefore see bit-identical faults, which is
- * what lets the cross-runtime fuzz harness treat faulted runs exactly
- * like clean ones (logits + stats bitwise equal across threads, chips
- * and micro-batches).
+ * Unlike the log-normal programming variation of
+ * CellConfig::variationSigma (reram/device.hh, the simulator's one
+ * variation model) — analog write noise drawn from the engine's
+ * programming stream — a FaultMap is *state*, not noise: the fault
+ * pattern of a physical crossbar is a pure function of (seed,
+ * faultKey, physId), drawn over the full physical geometry so it does
+ * not depend on how many rows or columns a layer happens to use. Two
+ * runtimes programming the same logical layer onto the same physical
+ * crossbar therefore see bit-identical faults, which is what lets the
+ * cross-runtime fuzz harness treat faulted runs exactly like clean
+ * ones (logits + stats bitwise equal across threads, chips and
+ * micro-batches).
  *
  * Fault kinds (paper-adjacent taxonomy, §V-E extended):
  *  - stuck-at-LRS: cell reads as the maximum conductance level,

@@ -1,18 +1,9 @@
 #include "sim/experiments.hh"
 
-namespace forms::sim {
+#include "compile/passes.hh"
+#include "sim/graph_runtime.hh"
 
-std::string
-netKindName(NetKind k)
-{
-    switch (k) {
-      case NetKind::LeNet5: return "LeNet5";
-      case NetKind::VggSmall: return "VGG (scaled)";
-      case NetKind::ResNetSmall: return "ResNet18 (scaled)";
-      case NetKind::ResNetDeep: return "ResNet50 (scaled)";
-    }
-    return "?";
-}
+namespace forms::sim {
 
 std::unique_ptr<nn::Network>
 buildNet(NetKind kind, const nn::DatasetConfig &data, Rng &rng)
@@ -93,7 +84,6 @@ runCompressionExperiment(const CompressionExperimentSpec &spec)
 
         CompressionExperimentRow row;
         row.fragSize = frag;
-        row.baselineAccuracy = base_acc;
         row.accuracyDropPct = (base_acc - outcome.accuracyAfter) * 100.0;
         row.pruneRatio = report.pruneRatio;
         row.crossbarReduction = report.crossbarReduction;
@@ -131,6 +121,39 @@ runFragmentAccuracySweep(NetKind net, const nn::DatasetConfig &data_cfg,
     return points;
 }
 
+VariationStudyResult
+runVariationStudy(nn::Network &net, std::vector<admm::LayerState> &states,
+                  const nn::SyntheticImageDataset &data,
+                  const VariationStudyConfig &cfg)
+{
+    const nn::DatasetConfig &dc = data.config();
+    compile::Graph graph = compile::lowerNetwork(net);
+    graph.inferShapes({dc.channels, dc.height, dc.width});
+    compile::foldBatchNorm(graph, compile::FoldMode::DigitalScale);
+    const Tensor &images = data.test().images;
+    const std::vector<int> &labels = data.test().labels;
+
+    VariationStudyResult res;
+    RuntimeConfig rc;
+    rc.mapping.inputBits = kVariationInputBits;
+    rc.engine.cell.variationSigma = 0.0;
+    {
+        GraphRuntime clean(graph, states, rc);
+        PipelineReport report;
+        res.cleanAccuracy = clean.accuracy(images, labels, &report);
+        res.crossbars = clean.totalCrossbars();
+        for (const auto &l : report.nodes.layers)
+            res.adcSamples += l.stats.adcSamples;
+    }
+    rc.engine.cell.variationSigma = cfg.sigma;
+    for (int run = 0; run < cfg.runs; ++run) {
+        rc.engine.variationSeed = cfg.seed + static_cast<uint64_t>(run);
+        GraphRuntime rt(graph, states, rc);
+        res.draws.add(rt.accuracy(images, labels));
+    }
+    return res;
+}
+
 std::vector<VariationRow>
 runVariationExperiment(NetKind net, const nn::DatasetConfig &data_cfg,
                        const VariationStudyConfig &vcfg,
@@ -138,42 +161,40 @@ runVariationExperiment(NetKind net, const nn::DatasetConfig &data_cfg,
                        int pretrain_epochs, uint64_t seed)
 {
     nn::SyntheticImageDataset data(data_cfg);
+    admm::AdmmConfig cfg;
+    cfg.filterKeep = filter_keep;
+    cfg.shapeKeep = shape_keep;
+    cfg.xbarDim = 16;
+    cfg.fragSize = 8;
+    cfg.admmEpochsPerPhase = 2;
+    cfg.finetuneEpochs = 2;
+    cfg.train.seed = seed + 17;
+
+    // Two phase chains over one deterministic pretraining each. A
+    // chain's phases up to a study, then enforceAll(), are exactly
+    // AdmmCompressor::run() with those phases enabled, and a study
+    // writes no weights, so each variant matches compressing a fresh
+    // pretrained net.
     std::vector<VariationRow> rows;
-
-    struct Variant
-    {
-        const char *label;
-        bool prune, polarize, quantize;
-    };
-    const Variant variants[4] = {
-        {"Original Model", false, false, false},
-        {"Polarization Only", false, true, false},
-        {"Pruning Only", true, false, false},
-        {"Full Optimization", true, true, true},
-    };
-
-    for (const auto &v : variants) {
-        auto [network, base_acc] =
-            pretrain(net, data, pretrain_epochs, seed);
-        (void)base_acc;
-
-        if (v.prune || v.polarize || v.quantize) {
-            admm::AdmmConfig cfg;
-            cfg.prune = v.prune;
-            cfg.polarize = v.polarize;
-            cfg.quantize = v.quantize;
-            cfg.filterKeep = filter_keep;
-            cfg.shapeKeep = shape_keep;
-            cfg.xbarDim = 16;
-            cfg.fragSize = 8;
-            cfg.admmEpochsPerPhase = 2;
-            cfg.finetuneEpochs = 2;
-            cfg.train.seed = seed + 17;
-            admm::AdmmCompressor comp(*network, data, cfg);
-            comp.run();
+    for (bool prune : {false, true}) {
+        auto network = pretrain(net, data, pretrain_epochs, seed).first;
+        admm::AdmmCompressor comp(*network, data, cfg);
+        auto study = [&](const char *label) {
+            comp.enforceAll();
+            rows.push_back({label, runVariationStudy(*network, comp.layers(),
+                                                     data, vcfg)});
+        };
+        if (!prune) {
+            study("Original Model");
+            comp.phasePolarize();
+            study("Polarization Only");
+        } else {
+            comp.phasePrune();
+            study("Pruning Only");
+            comp.phasePolarize();
+            comp.phaseQuantize();
+            study("Full Optimization");
         }
-        auto res = runVariationStudy(*network, data, vcfg);
-        rows.push_back({v.label, res.degradationPct()});
     }
     return rows;
 }

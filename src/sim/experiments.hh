@@ -3,7 +3,8 @@
  * High-level experiment drivers shared by the benchmark binaries:
  * pretrain a (scaled) network on a synthetic dataset, run the ADMM
  * compression pipeline at several fragment sizes, and report the
- * Tables I/II / Figure 6 style rows.
+ * Tables I/II / Figure 6 style rows, and the Table VI variation study
+ * on the compiled crossbar path.
  *
  * Scaled-geometry note: the trainable stand-in networks have tens of
  * filters per layer, so the crossbar-aware rounding runs against a
@@ -15,8 +16,9 @@
 #ifndef FORMS_SIM_EXPERIMENTS_HH
 #define FORMS_SIM_EXPERIMENTS_HH
 
+#include "admm/compressor.hh"
 #include "admm/report.hh"
-#include "sim/variation_study.hh"
+#include "common/stats.hh"
 
 namespace forms::sim {
 
@@ -28,9 +30,6 @@ enum class NetKind
     ResNetSmall,
     ResNetDeep,
 };
-
-/** Name of a network kind. */
-std::string netKindName(NetKind k);
 
 /** Build a stand-in network for a dataset. */
 std::unique_ptr<nn::Network> buildNet(NetKind kind,
@@ -62,7 +61,6 @@ struct CompressionExperimentSpec
 struct CompressionExperimentRow
 {
     int fragSize = 0;
-    double baselineAccuracy = 0.0;
     double accuracyDropPct = 0.0;    //!< vs. the pretrained model
     double pruneRatio = 1.0;
     double crossbarReduction = 1.0;
@@ -85,13 +83,60 @@ runFragmentAccuracySweep(NetKind net, const nn::DatasetConfig &data,
                          const std::vector<int> &frag_sizes,
                          int pretrain_epochs, uint64_t seed);
 
+/** Input precision of the variation study: 8-bit inputs, lossless ADC. */
+inline constexpr int kVariationInputBits = 8;
+
+/**
+ * Device-variation study on the compiled conductance path (paper §V-E,
+ * Table VI): the network is lowered, shape-inferred and BN-folded
+ * (DigitalScale), programmed once without variation (the clean run)
+ * and once per draw r with per-cell log-normal variation seeded by
+ * `seed + r`. The runtime keeps its default geometry (fragment size 8)
+ * and lossless ADC with `kVariationInputBits`-bit inputs, so variation
+ * is the only error source.
+ */
+struct VariationStudyConfig
+{
+    double sigma = 0.1;     //!< log-normal cell sigma (paper: 0.1)
+    int runs = 50;          //!< variation draws (paper: 50)
+    uint64_t seed = 2024;   //!< engine variationSeed of draw 0
+};
+
+/** Outcome of one variation study. */
+struct VariationStudyResult
+{
+    double cleanAccuracy = 0.0;   //!< programmed without variation
+    RunningStat draws;            //!< accuracy over the variation draws
+    int64_t crossbars = 0;        //!< arrays the network programs
+    uint64_t adcSamples = 0;      //!< clean run, whole test split
+
+    /** Accuracy degradation in percentage points. */
+    double degradationPct() const
+    {
+        return (cleanAccuracy - draws.mean()) * 100.0;
+    }
+};
+
+/** Study `net`, programmed from `states`, on the test split of `data`. */
+VariationStudyResult runVariationStudy(
+    nn::Network &net, std::vector<admm::LayerState> &states,
+    const nn::SyntheticImageDataset &data, const VariationStudyConfig &cfg);
+
 /** Table VI style: variation robustness of four model variants. */
 struct VariationRow
 {
     std::string variant;
-    double degradationPct = 0.0;
+    VariationStudyResult result;
 };
 
+/**
+ * Study four variants of one network in two ADMM phase chains, each
+ * over one deterministic pretraining: Original Model (the
+ * AdmmCompressor's states with no phase run, its mixed-sign tiles
+ * mapped as dual-crossbar pairs) then Polarization Only, and Pruning
+ * Only then Full Optimization (polarize + quantize). Each later
+ * variant continues from the earlier variant's compressor.
+ */
 std::vector<VariationRow>
 runVariationExperiment(NetKind net, const nn::DatasetConfig &data,
                        const VariationStudyConfig &vcfg,

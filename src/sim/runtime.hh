@@ -127,7 +127,7 @@ struct RuntimeReport
  * compression state (fragment polarization + magnitude quantization,
  * no training and no pruning) for every prunable parameter of `net`,
  * ready to hand to a runtime. The network weights are projected
- * in place so they satisfy the sign constraints the mapper assumes.
+ * in place, so every tile maps as one crossbar (arch/mapping.hh).
  */
 std::vector<admm::LayerState>
 snapshotCompress(nn::Network &net, int frag_size, int quant_bits,

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the functional crossbar engine: integer exactness at
- * lossless ADC resolution (parameterized over fragment sizes), bounded
- * error at the paper's reduced resolutions, zero-skip equivalence and
- * cycle savings, device-variation behaviour, and the keyed-execution
- * determinism contract: mvmKeyed's outputs AND merged stats depend
- * only on (inputs, keys) — not on the pool's thread count, on how a
- * batch is split into slices, or on what the engine ran before —
- * including with ADC quantization, device variation and transient
- * read noise enabled.
+ * lossless ADC resolution (parameterized over fragment sizes, for
+ * polarized layers and for the dual-crossbar pairs of unpolarized
+ * ones), bounded error at the paper's reduced resolutions, zero-skip
+ * equivalence and cycle savings, device-variation behaviour, and the
+ * keyed-execution determinism contract: mvmKeyed's outputs AND merged
+ * stats depend only on (inputs, keys) — not on the pool's thread
+ * count, on how a batch is split into slices, or on what the engine
+ * ran before — including with ADC quantization, device variation and
+ * transient read noise enabled.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +33,8 @@ struct TestLayer
     Tensor grad;
     admm::LayerState state;
 
-    TestLayer(int cout, int cin, int k, int frag, uint64_t seed)
+    TestLayer(int cout, int cin, int k, int frag, uint64_t seed,
+              bool polarize = true)
         : weight({cout, cin, k, k}), grad({cout, cin, k, k})
     {
         Rng rng(seed);
@@ -42,8 +44,10 @@ struct TestLayer
         state.plan = FragmentPlan::forConv(cout, cin, k, frag,
                                            PolarizationPolicy::WMajor);
         WeightView v = WeightView::conv(weight);
-        state.signs = admm::computeSigns(v, state.plan);
-        admm::projectPolarization(v, state.plan, *state.signs);
+        if (polarize) {
+            state.signs = admm::computeSigns(v, state.plan);
+            admm::projectPolarization(v, state.plan, *state.signs);
+        }
         admm::QuantSpec q;
         q.bits = 8;
         state.quantScale = admm::projectQuantize(v, q);
@@ -157,6 +161,35 @@ TEST_P(EngineExactnessTest, BatchedLosslessAdcIsIntegerExact)
         ASSERT_EQ(got[b].size(), expect.size());
         for (size_t i = 0; i < got[b].size(); ++i)
             EXPECT_DOUBLE_EQ(got[b][i], static_cast<double>(expect[i]))
+                << "presentation " << b << " output " << i;
+    }
+}
+
+TEST_P(EngineExactnessTest, UnpolarizedDualPairsAreIntegerExact)
+{
+    // A mixed-sign layer maps as positive/negative crossbar pairs; the
+    // lossless engine must still reproduce the signed reference.
+    const int frag = GetParam();
+    TestLayer layer(10, 4, 3, frag, 500 + frag, /*polarize=*/false);
+    MappingConfig mcfg = makeCfg(frag);
+    MappedLayer mapped = mapLayer(layer.state, mcfg);
+    TestLayer twin(10, 4, 3, frag, 500 + frag);
+    ASSERT_EQ(mapped.numCrossbars(),
+              2 * mapLayer(twin.state, mcfg).numCrossbars());
+
+    EngineConfig ecfg;
+    ecfg.adcBits = 0;   // lossless
+    CrossbarEngine engine(mapped, ecfg);
+
+    std::vector<std::vector<uint32_t>> batch;
+    for (uint64_t s = 0; s < 4; ++s)
+        batch.push_back(randomInputs(36, mcfg.inputBits, 40 + s));
+    auto got = mvmAll(engine, batch);
+    for (size_t b = 0; b < batch.size(); ++b) {
+        auto expect = referenceMvm(mapped, batch[b]);
+        ASSERT_EQ(got[b].size(), expect.size());
+        for (size_t i = 0; i < got[b].size(); ++i)
+            EXPECT_EQ(got[b][i], static_cast<double>(expect[i]))
                 << "presentation " << b << " output " << i;
     }
 }

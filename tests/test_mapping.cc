@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the weight-to-crossbar mapper: crossbar counts against the
- * closed form, fragment/sign integrity, pruning compaction, and the
- * integer reference MVM against a direct dense computation.
+ * closed form, fragment/sign integrity, pruning compaction, the
+ * dual-crossbar pair an unpolarized tile maps to, and the integer
+ * reference MVM against a direct dense computation.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +26,7 @@ struct TestLayer
     admm::LayerState state;
 
     TestLayer(int cout, int cin, int k, int frag, uint64_t seed,
-              bool prune = false)
+              bool prune = false, bool polarize = true)
         : weight({cout, cin, k, k}), grad({cout, cin, k, k})
     {
         Rng rng(seed);
@@ -46,8 +47,11 @@ struct TestLayer
             state.mask = admm::extractMask(v);
             state.plan = state.plan.restrictedToRows(state.mask->rowKept);
         }
-        state.signs = admm::computeSigns(v, state.plan, SignRule::SumRule);
-        admm::projectPolarization(v, state.plan, *state.signs);
+        if (polarize) {
+            state.signs =
+                admm::computeSigns(v, state.plan, SignRule::SumRule);
+            admm::projectPolarization(v, state.plan, *state.signs);
+        }
 
         admm::QuantSpec q;
         q.bits = 8;
@@ -121,22 +125,25 @@ TEST(Mapping, FragmentSignsAreInternallyConsistent)
     }
 }
 
-TEST(Mapping, ReferenceMvmMatchesDenseComputation)
+/**
+ * referenceMvm over `mapped` must equal the direct dense integer
+ * product of the layer's quantized weights with random inputs.
+ */
+void
+expectReferenceMatchesDense(const TestLayer &layer,
+                            const MappedLayer &mapped)
 {
-    TestLayer layer(10, 3, 3, 4, 5, true);
-    MappingConfig cfg = smallConfig(4);
-    MappedLayer mapped = mapLayer(layer.state, cfg);
+    const WeightView v = layer.state.view();
 
     // Quantized random inputs over the full natural index space.
     Rng rng(6);
-    std::vector<uint32_t> inputs(27);
-    for (auto &v : inputs)
-        v = static_cast<uint32_t>(rng.below(1u << 10));
+    std::vector<uint32_t> inputs(static_cast<size_t>(v.rows()));
+    for (auto &x : inputs)
+        x = static_cast<uint32_t>(rng.below(1u << 10));
 
     auto got = referenceMvm(mapped, inputs);
 
     // Direct dense computation from the quantized weights.
-    const WeightView v = layer.state.view();
     for (int64_t j = 0; j < v.cols(); ++j) {
         int64_t expect = 0;
         for (int64_t r = 0; r < v.rows(); ++r) {
@@ -153,6 +160,60 @@ TEST(Mapping, ReferenceMvmMatchesDenseComputation)
         else
             EXPECT_EQ(expect, 0);
     }
+}
+
+TEST(Mapping, ReferenceMvmMatchesDenseComputation)
+{
+    TestLayer layer(10, 3, 3, 4, 5, true);
+    expectReferenceMatchesDense(layer, mapLayer(layer.state, smallConfig(4)));
+}
+
+TEST(Mapping, UnpolarizedTilesMapAsDualCrossbarPairs)
+{
+    // Gaussian weights with no polarization: every 16x4 tile holds a
+    // mixed-sign fragment, so each maps as a (+1, -1) crossbar pair.
+    TestLayer twin(12, 4, 3, 4, 9);
+    TestLayer layer(12, 4, 3, 4, 9, false, /*polarize=*/false);
+    MappingConfig cfg = smallConfig(4);
+    MappedLayer mapped = mapLayer(layer.state, cfg);
+    ASSERT_EQ(mapLayer(twin.state, cfg).numCrossbars(), 9);
+    ASSERT_EQ(mapped.numCrossbars(), 18);
+
+    const WeightView v = layer.state.view();
+    for (size_t i = 0; i < mapped.crossbars.size(); i += 2) {
+        const MappedCrossbar &pos = mapped.crossbars[i];
+        const MappedCrossbar &neg = mapped.crossbars[i + 1];
+        EXPECT_EQ(pos.physId, static_cast<int>(i));
+        EXPECT_EQ(neg.physId, static_cast<int>(i) + 1);
+        EXPECT_EQ(pos.inputIndex, neg.inputIndex);
+        EXPECT_EQ(pos.outputIndex, neg.outputIndex);
+        for (int8_t s : pos.fragSign)
+            EXPECT_EQ(s, 1);
+        for (int8_t s : neg.fragSign)
+            EXPECT_EQ(s, -1);
+
+        bool tile_mixed = false;
+        for (int wc = 0; wc < pos.weightCols; ++wc) {
+            const int j = pos.outputIndex[static_cast<size_t>(wc)];
+            for (int f = 0; f < pos.fragsUsed; ++f) {
+                bool any_pos = false, any_neg = false;
+                for (int r = f * 4; r < std::min(pos.rows, (f + 1) * 4);
+                     ++r) {
+                    const float w =
+                        v.get(pos.inputIndex[static_cast<size_t>(r)], j);
+                    const uint32_t mag = static_cast<uint32_t>(
+                        std::lround(std::fabs(w) / mapped.scale));
+                    EXPECT_EQ(pos.mag(r, wc), w > 0.0f ? mag : 0u);
+                    EXPECT_EQ(neg.mag(r, wc), w < 0.0f ? mag : 0u);
+                    any_pos |= pos.mag(r, wc) != 0;
+                    any_neg |= neg.mag(r, wc) != 0;
+                }
+                tile_mixed |= any_pos && any_neg;
+            }
+        }
+        EXPECT_TRUE(tile_mixed) << "pair " << i / 2;
+    }
+    expectReferenceMatchesDense(layer, mapped);
 }
 
 TEST(Mapping, InputAndOutputIndicesAreValid)

@@ -1,15 +1,14 @@
 /**
  * @file
  * Unit tests for the ReRAM device model: magnitude slicing round trips,
- * cell programming, conductance mapping, and the statistics of the
- * log-normal variation model.
+ * cell programming, conductance mapping, and the per-cell log-normal
+ * conductance variation.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/stats.hh"
 #include "reram/device.hh"
-#include "reram/variation.hh"
 
 namespace forms::reram {
 namespace {
@@ -98,72 +97,6 @@ TEST(Cell, ZeroLevelImmuneToVariation)
     Cell c;
     c.program(0, cfg, &rng);
     EXPECT_DOUBLE_EQ(c.analogLevel(), 0.0);
-}
-
-TEST(Variation, ZeroSigmaIsIdentityOnGrid)
-{
-    // On-grid weights with sigma->0 must come back unchanged.
-    Tensor w({8});
-    const float scale = 0.01f;
-    for (int64_t i = 0; i < 8; ++i)
-        w.at(i) = scale * static_cast<float>(i * 30 - 100);
-    Tensor orig = w;
-    VariationConfig cfg;
-    cfg.sigma = 1e-9;
-    cfg.quantScale = scale;
-    Rng rng(7);
-    perturbWeights(w, cfg, rng);
-    for (int64_t i = 0; i < 8; ++i)
-        EXPECT_NEAR(w.at(i), orig.at(i), 1e-5);
-}
-
-TEST(Variation, PreservesSignAndZero)
-{
-    Rng rng(8);
-    Tensor w({64});
-    w.fillGaussian(rng, 0.0f, 1.0f);
-    w.at(0) = 0.0f;
-    Tensor orig = w;
-    VariationConfig cfg;
-    cfg.sigma = 0.2;
-    perturbWeights(w, cfg, rng);
-    EXPECT_EQ(w.at(0), 0.0f);
-    for (int64_t i = 1; i < 64; ++i) {
-        if (orig.at(i) > 0.0f)
-            EXPECT_GE(w.at(i), 0.0f);
-        else if (orig.at(i) < 0.0f)
-            EXPECT_LE(w.at(i), 0.0f);
-    }
-}
-
-TEST(Variation, RelativeErrorScalesWithSigma)
-{
-    Rng rng(9);
-    Tensor base({512});
-    base.fillGaussian(rng, 0.0f, 1.0f);
-
-    auto mean_rel_err = [&](double sigma) {
-        Tensor w = base;
-        VariationConfig cfg;
-        cfg.sigma = sigma;
-        Rng local(10);
-        const float scale = perturbWeights(w, cfg, local);
-        (void)scale;
-        double acc = 0.0;
-        int n = 0;
-        for (int64_t i = 0; i < w.numel(); ++i) {
-            if (base.at(i) == 0.0f)
-                continue;
-            acc += std::fabs(w.at(i) - base.at(i)) /
-                std::fabs(base.at(i));
-            ++n;
-        }
-        return acc / n;
-    };
-
-    const double small = mean_rel_err(0.05);
-    const double large = mean_rel_err(0.3);
-    EXPECT_LT(small, large);
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 /**
  * @file
  * Micro-benchmarks of the runtime-dispatched hot-path kernels
- * (common/simd.hh): the four primitives, the tensor kernels built on
- * them (matmul / matmulTransposeB / im2col) and the full
- * CrossbarEngine presentation loop — each timed in scalar mode and in
- * the dispatched (best-available) mode.
+ * (common/simd.hh): the three primitives and the full CrossbarEngine
+ * presentation loop — each timed on the scalar table and on the
+ * dispatched one (the best table the CPU supports). The tensor kernels
+ * built on the primitives run at the primitives' speed, and
+ * tests/test_tensor.cc pins their bits.
  *
  * Self-timed (no external benchmark library) and machine-readable:
  * writes BENCH_kernels.json with per-kernel ns/op and GB/s for both
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,7 +26,6 @@
 #include "common/logging.hh"
 #include "common/simd.hh"
 #include "obs/run_manifest.hh"
-#include "tensor/ops.hh"
 
 using namespace forms;
 
@@ -106,7 +105,7 @@ mismatch(const char *what)
     g_identical = false;
 }
 
-/** The four dispatch primitives, sized to force tail lanes. */
+/** The three dispatch primitives, sized to force tail lanes. */
 void
 benchPrimitives()
 {
@@ -170,57 +169,6 @@ benchPrimitives()
         [&] { sink = dk.dotF32(f_a.data(), f_b.data(), kN); });
     (void)sink;
     report(row);
-
-    row = {"copyF32", kN, kN * 8, 0.0, 0.0};
-    row.scalarNs =
-        nsPerCall([&] { sk.copyF32(f_y.data(), f_x.data(), kN); });
-    row.dispatchNs =
-        nsPerCall([&] { dk.copyF32(f_y.data(), f_x.data(), kN); });
-    report(row);
-}
-
-/** Tensor kernels through the process-wide dispatch mode. */
-void
-benchTensorOps()
-{
-    Rng rng(43);
-    Tensor a({128, 255});   // odd K exercises the dot tail lanes
-    Tensor b({255, 128});
-    Tensor bt({128, 255});
-    Tensor img({8, 16, 31, 31});
-    a.fillGaussian(rng, 0.0f, 1.0f);
-    b.fillGaussian(rng, 0.0f, 1.0f);
-    bt.fillGaussian(rng, 0.0f, 1.0f);
-    img.fillUniform(rng, 0.0f, 1.0f);
-
-    struct OpCase
-    {
-        const char *name;
-        std::function<Tensor()> run;
-        int64_t bytes;
-    };
-    const std::vector<OpCase> cases = {
-        {"matmul", [&] { return matmul(a, b); },
-         (a.numel() + b.numel() + int64_t(128) * 128) * 4},
-        {"matmulTransposeB", [&] { return matmulTransposeB(a, bt); },
-         (a.numel() + bt.numel() + int64_t(128) * 128) * 4},
-        {"im2col", [&] { return im2col(img, 3, 3, 1, 1); },
-         (img.numel() +
-          img.dim(1) * 9 * img.dim(0) * int64_t(31) * 31) * 4},
-    };
-
-    for (const auto &c : cases) {
-        simd::setProcessMode(simd::Mode::Scalar);
-        const Tensor ref = c.run();
-        const double scalar_ns = nsPerCall([&] { c.run(); });
-        simd::setProcessMode(simd::Mode::Auto);
-        const Tensor got = c.run();
-        const double dispatch_ns = nsPerCall([&] { c.run(); });
-        if (!got.equals(ref))
-            mismatch(c.name);
-        report({c.name, ref.numel(), c.bytes, scalar_ns, dispatch_ns});
-    }
-    simd::setProcessMode(simd::Mode::Auto);
 }
 
 /** The full engine presentation loop, noise + variation + ADC on. */
@@ -322,7 +270,7 @@ writeJson()
     w.beginObject();
     obs::writeBenchHeader(w, manifest);
     w.field("bench", "micro_kernels");
-    w.field("dispatch", simd::modeName(simd::processMode()));
+    w.field("dispatch", simd::kernels().name);
 #if defined(FORMS_BUILD_TYPE)
     w.field("build", FORMS_BUILD_TYPE);
 #else
@@ -349,7 +297,7 @@ writeJson()
     std::fputc('\n', json);
     std::fclose(json);
     std::printf("wrote BENCH_kernels.json (%zu kernels, dispatch=%s)\n",
-                g_rows.size(), simd::modeName(simd::processMode()));
+                g_rows.size(), simd::kernels().name);
 }
 
 } // namespace
@@ -359,7 +307,6 @@ main()
 {
     simd::printBenchBanner("bench_micro_kernels");
     benchPrimitives();
-    benchTensorOps();
     benchEngine();
     writeJson();
     if (!g_identical) {

@@ -80,11 +80,11 @@ struct EngineConfig
     uint64_t faultKey = 0;
 
     /**
-     * Kernel dispatch for this engine's hot loop, resolved once at
-     * construction (per-engine, so runtimes built from RuntimeConfig
-     * can pin a mode without mutating process-wide state from pool
-     * workers). Every mode is bit-identical by the common/simd.hh
-     * contract; Auto follows FORMS_SIMD / cpuid detection.
+     * Kernel table for this engine's hot loop, resolved once at
+     * construction. Auto is the best table the CPU supports (cpuid);
+     * Scalar pins the bitwise reference, which is how tests and the
+     * cross-runtime fuzz compare the two. Every mode is bit-identical
+     * by the common/simd.hh contract.
      */
     simd::Mode simdMode = simd::Mode::Auto;
 };

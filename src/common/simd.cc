@@ -1,23 +1,16 @@
 #include "common/simd.hh"
 
 #include <atomic>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
 
-#if defined(__aarch64__) && !defined(FORMS_SIMD_OFF)
-#include <arm_neon.h>
-#define FORMS_SIMD_HAVE_NEON 1
-#endif
-
 namespace forms::simd {
 
 namespace detail {
-// Defined in simd_avx2.cc (compiled with -mavx2 when FORMS_SIMD=ON on
-// x86-64); returns null when the variant is not compiled in.
+// Defined in simd_avx2.cc (compiled with -mavx2 when the compiler
+// accepts it); returns null when the variant is not compiled in or the
+// CPU lacks AVX2.
 const Kernels *avx2Table();
 } // namespace detail
 
@@ -58,261 +51,8 @@ dotF32Scalar(const float *a, const float *b, int64_t n)
     return (lane[0] + lane[2]) + (lane[1] + lane[3]);
 }
 
-void
-copyF32Scalar(float *dst, const float *src, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i)
-        dst[i] = src[i];
-}
-
 constexpr Kernels kScalarTable = {Mode::Scalar, "scalar", addF64Scalar,
-                                  axpyF32Scalar, dotF32Scalar,
-                                  copyF32Scalar};
-
-// ---- NEON (aarch64 baseline) -----------------------------------------
-
-#if defined(FORMS_SIMD_HAVE_NEON)
-
-void
-addF64Neon(double *acc, const double *x, int64_t n)
-{
-    int64_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        vst1q_f64(acc + i,
-                  vaddq_f64(vld1q_f64(acc + i), vld1q_f64(x + i)));
-    }
-    for (; i < n; ++i)
-        acc[i] += x[i];
-}
-
-void
-axpyF32Neon(float *y, const float *x, float a, int64_t n)
-{
-    // vmulq + vaddq, never vmlaq/vfmaq: FMLA fuses the rounding and
-    // would diverge from the scalar reference.
-    const float32x4_t va = vdupq_n_f32(a);
-    int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const float32x4_t prod = vmulq_f32(va, vld1q_f32(x + i));
-        vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), prod));
-    }
-    for (; i < n; ++i)
-        y[i] += a * x[i];
-}
-
-double
-dotF32Neon(const float *a, const float *b, int64_t n)
-{
-    // NEON doubles are 2-wide, so the canonical 4-lane tree is
-    // emulated with two accumulators: accA holds lanes {0, 1}, accB
-    // lanes {2, 3}.
-    float64x2_t acc_a = vdupq_n_f64(0.0);
-    float64x2_t acc_b = vdupq_n_f64(0.0);
-    int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const float32x4_t fa = vld1q_f32(a + i);
-        const float32x4_t fb = vld1q_f32(b + i);
-        acc_a = vaddq_f64(acc_a,
-                          vmulq_f64(vcvt_f64_f32(vget_low_f32(fa)),
-                                    vcvt_f64_f32(vget_low_f32(fb))));
-        acc_b = vaddq_f64(acc_b,
-                          vmulq_f64(vcvt_f64_f32(vget_high_f32(fa)),
-                                    vcvt_f64_f32(vget_high_f32(fb))));
-    }
-    double lane[kDotLanes];
-    vst1q_f64(lane, acc_a);
-    vst1q_f64(lane + 2, acc_b);
-    for (; i < n; ++i) {
-        lane[i & 3] +=
-            static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    }
-    return (lane[0] + lane[2]) + (lane[1] + lane[3]);
-}
-
-void
-copyF32Neon(float *dst, const float *src, int64_t n)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
-}
-
-constexpr Kernels kNeonTable = {Mode::Neon, "neon", addF64Neon,
-                                axpyF32Neon, dotF32Neon, copyF32Neon};
-
-#endif // FORMS_SIMD_HAVE_NEON
-
-const Kernels *
-neonTable()
-{
-#if defined(FORMS_SIMD_HAVE_NEON)
-    return &kNeonTable;
-#else
-    return nullptr;
-#endif
-}
-
-/** How Mode::Auto was decided, for buildDescription(). */
-enum class AutoSource { Detected, Env, Override };
-
-std::atomic<Mode> g_auto{Mode::Auto};   //!< Auto = not yet resolved
-std::atomic<AutoSource> g_source{AutoSource::Detected};
-
-Mode
-bestAvailable()
-{
-    if (avx2Supported())
-        return Mode::Avx2;
-    if (neonSupported())
-        return Mode::Neon;
-    return Mode::Scalar;
-}
-
-/** Explicit-mode resolution with a one-time fallback warning. */
-Mode
-resolveExplicit(Mode m)
-{
-    if (m == Mode::Avx2 && !avx2Supported()) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("simd: avx2 requested but unavailable on this "
-                 "build/CPU — falling back to scalar kernels");
-        return Mode::Scalar;
-    }
-    if (m == Mode::Neon && !neonSupported()) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("simd: neon requested but unavailable on this "
-                 "build/CPU — falling back to scalar kernels");
-        return Mode::Scalar;
-    }
-    return m;
-}
-
-Mode
-resolveFromEnv()
-{
-    const char *env = std::getenv("FORMS_SIMD");
-    if (env && *env) {
-        Mode m = Mode::Auto;
-        if (parseMode(env, &m)) {
-            if (m != Mode::Auto) {
-                g_source.store(AutoSource::Env);
-                return resolveExplicit(m);
-            }
-        } else {
-            // Warn once: setProcessMode(Auto) re-runs this resolution.
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                warn("simd: unknown FORMS_SIMD value '%s' "
-                     "(want scalar|avx2|neon|auto) — using auto "
-                     "detection",
-                     env);
-            }
-        }
-    }
-    g_source.store(AutoSource::Detected);
-    return bestAvailable();
-}
-
-} // namespace
-
-bool
-avx2Supported()
-{
-    return detail::avx2Table() != nullptr;
-}
-
-bool
-neonSupported()
-{
-    return neonTable() != nullptr;
-}
-
-Mode
-processMode()
-{
-    Mode m = g_auto.load(std::memory_order_relaxed);
-    if (m == Mode::Auto) {
-        m = resolveFromEnv();
-        g_auto.store(m, std::memory_order_relaxed);
-    }
-    return m;
-}
-
-void
-setProcessMode(Mode mode)
-{
-    if (mode == Mode::Auto) {
-        g_auto.store(Mode::Auto, std::memory_order_relaxed);  // re-resolve
-        return;
-    }
-    g_source.store(AutoSource::Override);
-    g_auto.store(resolveExplicit(mode), std::memory_order_relaxed);
-}
-
-Mode
-resolve(Mode requested)
-{
-    if (requested == Mode::Auto)
-        return processMode();
-    return resolveExplicit(requested);
-}
-
-const Kernels &
-kernels(Mode requested)
-{
-    switch (resolve(requested)) {
-    case Mode::Avx2:
-        return *detail::avx2Table();
-    case Mode::Neon: {
-        const Kernels *t = neonTable();
-        if (t)
-            return *t;
-        break;
-    }
-    default:
-        break;
-    }
-    return kScalarTable;
-}
-
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-    case Mode::Auto:
-        return "auto";
-    case Mode::Scalar:
-        return "scalar";
-    case Mode::Avx2:
-        return "avx2";
-    case Mode::Neon:
-        return "neon";
-    }
-    return "?";
-}
-
-bool
-parseMode(const std::string &text, Mode *out)
-{
-    std::string t;
-    t.reserve(text.size());
-    for (char c : text)
-        t.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    if (t == "auto")
-        *out = Mode::Auto;
-    else if (t == "scalar" || t == "off" || t == "none")
-        *out = Mode::Scalar;
-    else if (t == "avx2")
-        *out = Mode::Avx2;
-    else if (t == "neon")
-        *out = Mode::Neon;
-    else
-        return false;
-    return true;
-}
-
-namespace {
+                                  axpyF32Scalar, dotF32Scalar};
 
 const char *
 buildTypeName()
@@ -334,23 +74,26 @@ optimizedBuild()
 
 } // namespace
 
-std::string
-buildDescription()
+bool
+avx2Supported()
 {
-    const Mode m = processMode();
-    const char *how = "detected";
-    switch (g_source.load()) {
-    case AutoSource::Env:
-        how = "env FORMS_SIMD";
-        break;
-    case AutoSource::Override:
-        how = "override";
-        break;
-    case AutoSource::Detected:
-        break;
+    return detail::avx2Table() != nullptr;
+}
+
+const Kernels &
+kernels(Mode requested)
+{
+    if (requested == Mode::Scalar)
+        return kScalarTable;
+    if (const Kernels *t = detail::avx2Table())
+        return *t;
+    if (requested == Mode::Avx2) {
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            warn("simd: avx2 requested but unavailable on this "
+                 "build/CPU — falling back to scalar kernels");
     }
-    return strfmt("dispatch=%s (%s), build=%s", modeName(m), how,
-                  buildTypeName());
+    return kScalarTable;
 }
 
 void
@@ -359,7 +102,8 @@ printBenchBanner(const char *tool)
     // Through the leveled logger: FORMS_LOG=warn silences the banner
     // for scripted runs, while the unoptimized-build warning stays
     // loud at every level short of silence.
-    inform("%s: %s", tool, buildDescription().c_str());
+    inform("%s: dispatch=%s, build=%s", tool, kernels().name,
+           buildTypeName());
     if (!optimizedBuild()) {
         warn("%s: unoptimized build type '%s' — the numbers below are "
              "NOT meaningful performance data; rebuild with "

@@ -2,15 +2,15 @@
  * @file
  * Runtime-dispatched SIMD kernels for the simulator's hot paths.
  *
- * Every kernel exists in a scalar variant (the bitwise reference) and
- * optional AVX2 / NEON variants selected at runtime from one dispatch
- * table. The contract that makes dispatch safe under the DESIGN.md
- * determinism rules: **every variant of a kernel produces bit-identical
- * results**, enforced structurally by two rules (DESIGN.md §6):
+ * Every kernel exists in a scalar variant (the bitwise reference) and,
+ * on x86-64, an AVX2 variant. The contract that makes dispatch safe
+ * under the DESIGN.md determinism rules: **every variant of a kernel
+ * produces bit-identical results**, enforced structurally by two rules
+ * (DESIGN.md §6):
  *
- * 1. Elementwise kernels (addF64, axpyF32, copyF32) only combine each
- *    output element with its own operands — vector width cannot change
- *    any per-element operation order, so any correct vectorization is
+ * 1. Elementwise kernels (addF64, axpyF32) only combine each output
+ *    element with its own operands — vector width cannot change any
+ *    per-element operation order, so any correct vectorization is
  *    bitwise equal to the scalar loop. Multiply-add stays two rounded
  *    operations (no FMA contraction) in every variant.
  * 2. Reduction kernels (dotF32) use a fixed lane-block order that is
@@ -21,28 +21,25 @@
  *    native vectors must emulate the 4-lane shape rather than use their
  *    natural width.
  *
- * Mode resolution: Mode::Auto picks the best variant compiled in AND
- * supported by the running CPU; the FORMS_SIMD environment variable
- * (scalar | avx2 | neon | auto) overrides it process-wide, and
- * arch::EngineConfig / setProcessMode() override it per-engine / for
- * tests. Building with -DFORMS_SIMD=OFF compiles the scalar table only.
+ * One rule picks the variant: Mode::Auto is the best table the running
+ * CPU supports (cpuid, decided once per process). An explicit mode is
+ * only a per-engine pin (arch::EngineConfig::simdMode) and the tests'
+ * handle on the scalar reference.
  */
 
 #ifndef FORMS_COMMON_SIMD_HH
 #define FORMS_COMMON_SIMD_HH
 
 #include <cstdint>
-#include <string>
 
 namespace forms::simd {
 
 /** Which kernel variant set to run. */
 enum class Mode
 {
-    Auto,    //!< env FORMS_SIMD if set, else best available
+    Auto,    //!< best variant the CPU supports
     Scalar,  //!< portable reference (always available)
-    Avx2,    //!< x86-64 AVX2
-    Neon,    //!< aarch64 NEON
+    Avx2,    //!< x86-64 AVX2 (cpuid-gated)
 };
 
 /** Number of partial accumulators in the canonical reduction tree. */
@@ -70,58 +67,22 @@ struct Kernels
      * returned as (lane0 + lane2) + (lane1 + lane3).
      */
     double (*dotF32)(const float *a, const float *b, int64_t n);
-
-    /** dst[i] = src[i] (pure data movement). */
-    void (*copyF32)(float *dst, const float *src, int64_t n);
 };
 
 /** True when the AVX2 table is compiled in and the CPU supports it. */
 bool avx2Supported();
 
-/** True when the NEON table is compiled in (aarch64 baseline). */
-bool neonSupported();
-
 /**
- * Resolve a requested mode to a runnable one: Auto follows the
- * process-wide mode (setProcessMode / FORMS_SIMD env / best available);
- * an explicit mode that is not supported on this build+CPU falls back
- * to Scalar with a one-time warning.
+ * Kernel table for a mode. Auto is the best table the CPU supports;
+ * Avx2 on a CPU without it falls back to Scalar with a one-time
+ * warning. Never null.
  */
-Mode resolve(Mode requested);
-
-/** Kernel table for a mode (resolved first). Never null. */
 const Kernels &kernels(Mode requested = Mode::Auto);
 
 /**
- * Override what Mode::Auto resolves to, process-wide (testing hook;
- * takes precedence over the FORMS_SIMD environment variable).
- * Pass Mode::Auto to restore env/default resolution.
- */
-void setProcessMode(Mode mode);
-
-/** Current process-wide resolution of Mode::Auto. */
-Mode processMode();
-
-/** Lower-case mode name ("auto", "scalar", "avx2", "neon"). */
-const char *modeName(Mode mode);
-
-/**
- * Parse a mode name (case-insensitive). Returns false (and leaves
- * `out` untouched) on an unknown name.
- */
-bool parseMode(const std::string &text, Mode *out);
-
-/**
- * One-line description of the active configuration, e.g.
- * "dispatch=avx2 (auto), build=Release". Benches print it so a number
- * can never be read without knowing which path and build produced it.
- */
-std::string buildDescription();
-
-/**
- * Print `tool: <buildDescription()>` and, when the build type is not
- * Release/RelWithDebInfo, a loud warning that the numbers from this
- * binary are not meaningful performance data.
+ * Print `tool: dispatch=<table>, build=<type>` and, when the build
+ * type is not Release/RelWithDebInfo, a loud warning that the numbers
+ * from this binary are not meaningful performance data.
  */
 void printBenchBanner(const char *tool);
 

@@ -1,19 +1,17 @@
 /**
  * @file
  * AVX2 variants of the dispatch kernels. This translation unit is the
- * only one compiled with -mavx2 (CMake sets it per-source when
- * FORMS_SIMD=ON on x86-64); everything else must keep calling through
- * the dispatch table so a non-AVX2 machine never executes these
- * instructions. When the compiler flag is absent (FORMS_SIMD=OFF or a
- * non-x86 target) the file degrades to a null table.
+ * only one compiled with -mavx2 (CMake sets it per-source whenever the
+ * compiler accepts the flag); everything else must keep calling
+ * through the dispatch table so a non-AVX2 machine never executes these
+ * instructions. When the compiler flag is absent (a non-x86 target) the
+ * file degrades to a null table and the scalar definitions run.
  */
 
 #include "common/simd.hh"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
-
-#include <cstring>
 #endif
 
 namespace forms::simd {
@@ -73,14 +71,8 @@ dotF32Avx2(const float *a, const float *b, int64_t n)
     return (lane[0] + lane[2]) + (lane[1] + lane[3]);
 }
 
-void
-copyF32Avx2(float *dst, const float *src, int64_t n)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
-}
-
 constexpr Kernels kAvx2Table = {Mode::Avx2, "avx2", addF64Avx2,
-                                axpyF32Avx2, dotF32Avx2, copyF32Avx2};
+                                axpyF32Avx2, dotF32Avx2};
 
 } // namespace
 

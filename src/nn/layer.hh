@@ -27,6 +27,17 @@ struct ParamRef
 };
 
 /**
+ * Handle to one non-trainable state tensor that belongs to the model
+ * (e.g. BatchNorm running statistics): saved and loaded with the
+ * parameters, never touched by the optimizer.
+ */
+struct BufferRef
+{
+    std::string name;   //!< qualified name, e.g. "bn1.running_mean"
+    Tensor *value;      //!< storage (owned by the layer)
+};
+
+/**
  * Abstract differentiable layer.
  *
  * forward() may cache activations needed by backward(); backward()
@@ -51,6 +62,9 @@ class Layer
 
     /** Expose trainable parameters (default: none). */
     virtual std::vector<ParamRef> params() { return {}; }
+
+    /** Expose non-trainable state tensors (default: none). */
+    virtual std::vector<BufferRef> buffers() { return {}; }
 
     /** Zero all parameter gradients. */
     void

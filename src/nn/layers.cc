@@ -323,6 +323,15 @@ BatchNorm2D::params()
     };
 }
 
+std::vector<BufferRef>
+BatchNorm2D::buffers()
+{
+    return {
+        {name() + ".running_mean", &runMean_},
+        {name() + ".running_var", &runVar_},
+    };
+}
+
 // --------------------------------------------------------- ResidualBlock
 
 ResidualBlock::ResidualBlock(std::string name, int in_c, int out_c,
@@ -387,6 +396,19 @@ ResidualBlock::params()
     for (auto &l : shortcut_)
         for (auto &p : l->params())
             out.push_back(p);
+    return out;
+}
+
+std::vector<BufferRef>
+ResidualBlock::buffers()
+{
+    std::vector<BufferRef> out;
+    for (auto &l : main_)
+        for (auto &b : l->buffers())
+            out.push_back(b);
+    for (auto &l : shortcut_)
+        for (auto &b : l->buffers())
+            out.push_back(b);
     return out;
 }
 

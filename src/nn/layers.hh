@@ -156,6 +156,7 @@ class BatchNorm2D : public Layer
     Tensor forward(const Tensor &input, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamRef> params() override;
+    std::vector<BufferRef> buffers() override;
 
     // Introspection hooks for compiler passes (compile/passes.hh):
     // BN folding reads the affine parameters and running statistics
@@ -196,6 +197,7 @@ class ResidualBlock : public Layer
     Tensor forward(const Tensor &input, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
     std::vector<ParamRef> params() override;
+    std::vector<BufferRef> buffers() override;
 
     // Introspection hooks so compile::lowerNetwork can flatten the
     // block into explicit graph nodes (the unique_ptrs stay owned by

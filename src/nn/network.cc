@@ -70,6 +70,16 @@ Network::params()
     return out;
 }
 
+std::vector<BufferRef>
+Network::buffers()
+{
+    std::vector<BufferRef> out;
+    for (auto &l : layers_)
+        for (auto &b : l->buffers())
+            out.push_back(b);
+    return out;
+}
+
 void
 Network::zeroGrads()
 {

@@ -52,6 +52,9 @@ class Network
     /** Gather all trainable parameters across layers. */
     std::vector<ParamRef> params();
 
+    /** Gather all non-trainable state tensors across layers. */
+    std::vector<BufferRef> buffers();
+
     /** Zero all gradients. */
     void zeroGrads();
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -12,7 +13,27 @@ namespace forms::nn {
 
 namespace {
 
-constexpr const char *kMagic = "forms-model v1";
+constexpr const char *kMagic = "forms-model v2";
+
+/** One tensor record of the file, in the order it is written. */
+struct Record
+{
+    const char *tag;   //!< "param" or "buffer"
+    std::string name;
+    Tensor *value;
+};
+
+/** Every parameter, then every buffer (BatchNorm running statistics). */
+std::vector<Record>
+records(Network &net)
+{
+    std::vector<Record> out;
+    for (auto &p : net.params())
+        out.push_back({"param", p.name, p.value});
+    for (auto &b : net.buffers())
+        out.push_back({"buffer", b.name, b.value});
+    return out;
+}
 
 } // namespace
 
@@ -36,15 +57,15 @@ void
 saveParameters(Network &net, std::ostream &os)
 {
     os << kMagic << "\n";
-    for (auto &p : net.params()) {
-        os << "param " << p.name << " " << p.value->numel();
-        for (int64_t d : p.value->shape())
+    for (const Record &r : records(net)) {
+        os << r.tag << " " << r.name << " " << r.value->numel();
+        for (int64_t d : r.value->shape())
             os << " " << d;
         os << "\n";
-        const float *data = p.value->data();
-        for (int64_t i = 0; i < p.value->numel(); ++i) {
+        const float *data = r.value->data();
+        for (int64_t i = 0; i < r.value->numel(); ++i) {
             os << encodeFloat(data[i]);
-            os << (i + 1 == p.value->numel() ? '\n' : ' ');
+            os << (i + 1 == r.value->numel() ? '\n' : ' ');
         }
     }
     os << "end\n";
@@ -67,7 +88,7 @@ loadParameters(Network &net, std::istream &is)
     if (!std::getline(is, line) || line != kMagic)
         fatal("bad model header (expected '%s')", kMagic);
 
-    auto params = net.params();
+    const std::vector<Record> expected = records(net);
     size_t next = 0;
     while (std::getline(is, line)) {
         if (line == "end")
@@ -76,43 +97,44 @@ loadParameters(Network &net, std::istream &is)
         std::string tag, name;
         int64_t numel = 0;
         hdr >> tag >> name >> numel;
-        if (tag != "param" || !hdr)
-            fatal("bad parameter header: '%s'", line.c_str());
-        if (next >= params.size())
-            fatal("model file has more parameters than the network");
-        ParamRef &p = params[next++];
-        if (p.name != name) {
-            fatal("parameter order mismatch: file has '%s', network "
-                  "expects '%s'", name.c_str(), p.name.c_str());
+        if ((tag != "param" && tag != "buffer") || !hdr)
+            fatal("bad record header: '%s'", line.c_str());
+        if (next >= expected.size())
+            fatal("model file has more records than the network");
+        const Record &r = expected[next++];
+        if (r.tag != tag || r.name != name) {
+            fatal("record order mismatch: file has %s '%s', network "
+                  "expects %s '%s'", tag.c_str(), name.c_str(), r.tag,
+                  r.name.c_str());
         }
-        if (p.value->numel() != numel) {
-            fatal("parameter '%s' size mismatch: file %" PRId64
-                  ", network %" PRId64, name.c_str(), numel,
-                  p.value->numel());
+        if (r.value->numel() != numel) {
+            fatal("%s '%s' size mismatch: file %" PRId64
+                  ", network %" PRId64, tag.c_str(), name.c_str(), numel,
+                  r.value->numel());
         }
         Shape shape;
         int64_t d;
         while (hdr >> d)
             shape.push_back(d);
-        if (!shape.empty() && shape != p.value->shape())
-            fatal("parameter '%s' shape mismatch", name.c_str());
+        if (!shape.empty() && shape != r.value->shape())
+            fatal("%s '%s' shape mismatch", tag.c_str(), name.c_str());
 
-        float *data = p.value->data();
+        float *data = r.value->data();
         std::string tok;
         for (int64_t i = 0; i < numel; ++i) {
             // Hex-float tokens are parsed with strtod (parseFloat):
             // istream's num_get does not reliably accept the %a format.
             if (!(is >> tok))
-                fatal("truncated values for parameter '%s'",
+                fatal("truncated values for %s '%s'", tag.c_str(),
                       name.c_str());
             data[i] = parseFloat(tok, name.c_str());
         }
         // Consume the trailing newline of the value block.
         is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
     }
-    if (next != params.size())
-        fatal("model file has fewer parameters than the network "
-              "(%zu of %zu)", next, params.size());
+    if (next != expected.size())
+        fatal("model file has fewer records than the network "
+              "(%zu of %zu)", next, expected.size());
 }
 
 void

@@ -1,15 +1,19 @@
 /**
  * @file
- * Plain-text serialization of network parameters and compression
- * metadata — enough for the deployment flow the paper implies: train
- * and compress once, then hand the polarized/quantized model to the
- * accelerator mapper in a later process.
+ * Plain-text serialization of network parameters and state buffers
+ * (BatchNorm running statistics) — enough for the deployment flow the
+ * paper implies: train and compress once, then hand the
+ * polarized/quantized model to the accelerator mapper in a later
+ * process.
  *
  * Format (line-oriented, locale-independent):
- *   forms-model v1
+ *   forms-model v2
  *   param <name> <numel> <d0> <d1> ...
  *   <numel> space-separated float values (hex float for exactness)
- *   ...
+ *   ...                         (every Network::params() entry)
+ *   buffer <name> <numel> <d0> <d1> ...
+ *   <numel> values
+ *   ...                         (every Network::buffers() entry)
  *   end
  */
 
@@ -23,15 +27,16 @@
 
 namespace forms::nn {
 
-/** Serialize all parameters of a network to a stream. */
+/** Serialize all parameters and buffers of a network to a stream. */
 void saveParameters(Network &net, std::ostream &os);
 
 /** Serialize to a file; fatal() on I/O failure. */
 void saveParameters(Network &net, const std::string &path);
 
 /**
- * Load parameters into a structurally identical network (same layer
- * names, shapes and order). fatal() on mismatch or parse error.
+ * Load parameters and buffers into a structurally identical network
+ * (same layer names, shapes and order). fatal() on mismatch or parse
+ * error.
  */
 void loadParameters(Network &net, std::istream &is);
 

@@ -54,7 +54,7 @@ RunManifest::collect(const std::string &bench)
     m.bench = bench;
     m.gitSha = resolveGitSha();
     m.build = buildTypeName();
-    m.simdDispatch = simd::modeName(simd::processMode());
+    m.simdDispatch = simd::kernels().name;
     m.threads = ThreadPool::global().threads();
     return m;
 }

@@ -41,7 +41,7 @@ struct RunManifest
     std::string bench;         //!< emitting tool, e.g. "fig15_multichip"
     std::string gitSha;        //!< env > build-time capture > "unknown"
     std::string build;         //!< CMAKE_BUILD_TYPE of the binary
-    std::string simdDispatch;  //!< resolved kernel dispatch (Mode::Auto)
+    std::string simdDispatch;  //!< kernel table cpuid picked (Mode::Auto)
     int threads = 0;           //!< process-wide ThreadPool width
 
     /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/simd.hh"
@@ -143,7 +144,6 @@ im2colInto(const Tensor &input, int kh, int kw, int stride, int pad,
         out = Tensor({rows, cols});
     float *po = out.data();
     const float *pi = input.data();
-    const simd::Kernels &kern = simd::kernels();
 
     // One task per (image, channel) plane: each writes a disjoint
     // (row band, column band) block of the output.
@@ -165,17 +165,16 @@ im2colInto(const Tensor &input, int kh, int kw, int stride, int pad,
                     const float *srow = plane + iy * w;
                     if (stride == 1) {
                         // Unit stride reads a contiguous span: pad
-                        // fills at the edges, one stride-1 copy for
-                        // the interior (pure data movement — bitwise
-                        // mode-independent).
+                        // fills at the edges, one memcpy for the
+                        // interior.
                         const int shift = kx - pad;   // ix = ox + shift
                         const int x0 = std::max(0, -shift);
                         const int x1 = std::min(ow, w - shift);
                         if (x0 > 0)
                             std::fill(dst, dst + std::min(x0, ow), 0.0f);
                         if (x1 > x0)
-                            kern.copyF32(dst + x0, srow + x0 + shift,
-                                         x1 - x0);
+                            std::memcpy(dst + x0, srow + x0 + shift,
+                                        sizeof(float) * (x1 - x0));
                         if (std::max(x0, x1) < ow)
                             std::fill(dst + std::max(x0, x1), dst + ow,
                                       0.0f);

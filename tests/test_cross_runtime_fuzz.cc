@@ -237,7 +237,7 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
         // table while the pipeline runtime dispatches the best
         // available SIMD variant, so every bit-equality assertion
         // below also enforces the scalar<->vector identity contract
-        // (DESIGN.md §6). On a FORMS_SIMD=OFF build Auto resolves to
+        // (DESIGN.md §6). On a CPU without AVX2 Auto resolves to
         // scalar and the axis degenerates harmlessly.
         rcfg.engine.simdMode = simd::Mode::Scalar;
 

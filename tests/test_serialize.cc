@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for model serialization: exact round trips (hex-float values),
- * compressed models keeping their invariants through save/load, and
- * mismatch rejection.
+ * compressed models keeping their invariants through save/load,
+ * BatchNorm running statistics carried as buffers, and mismatch
+ * rejection.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "nn/serialize.hh"
@@ -74,6 +76,37 @@ TEST(Serialize, ForwardIdenticalAfterRoundTrip)
     loadParameters(*net2, is);
     Tensor after = net2->forward(x);
     EXPECT_TRUE(before.equals(after));
+}
+
+/**
+ * BatchNorm running statistics travel with the model: after a few
+ * train-mode forwards they differ from their initial values, and a
+ * fresh network loaded from the stream must reproduce the eval-mode
+ * logits bit for bit.
+ */
+TEST(Serialize, BatchNormRunningStatsRoundTrip)
+{
+    Rng rng(8);
+    auto net = buildResNetSmall(rng, 4, 8, 1);
+    Tensor x({2, 3, 32, 32});
+    x.fillGaussian(rng, 0.5f, 1.0f);
+    for (int step = 0; step < 5; ++step)
+        net->forward(x, true);
+    const Tensor before = net->forward(x, false);
+    ASSERT_FALSE(net->buffers().empty());
+
+    std::ostringstream os;
+    saveParameters(*net, os);
+    Rng rng2(9);
+    auto net2 = buildResNetSmall(rng2, 4, 8, 1);
+    std::istringstream is(os.str());
+    loadParameters(*net2, is);
+
+    const Tensor after = net2->forward(x, false);
+    ASSERT_EQ(before.shape(), after.shape());
+    EXPECT_EQ(0, std::memcmp(before.data(), after.data(),
+                             sizeof(float) *
+                                 static_cast<size_t>(before.numel())));
 }
 
 TEST(Serialize, RejectsBadHeader)

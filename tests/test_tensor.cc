@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/simd.hh"
 #include "tensor/ops.hh"
 
@@ -96,38 +98,95 @@ TEST(Ops, MatmulTransposeVariantsAgree)
     }
 }
 
+/** Same shape and the same bits in every element. */
+bool
+bitEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+        std::memcmp(a.data(), b.data(),
+                    sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+/** im2col by its index definition, one element at a time. */
+Tensor
+naiveIm2col(const Tensor &in, int kh, int kw, int stride, int pad)
+{
+    const int64_t n = in.dim(0), c = in.dim(1);
+    const int h = static_cast<int>(in.dim(2));
+    const int w = static_cast<int>(in.dim(3));
+    const int oh = convOutDim(h, kh, stride, pad);
+    const int ow = convOutDim(w, kw, stride, pad);
+    Tensor out({c * kh * kw, n * oh * ow});
+    for (int64_t img = 0; img < n; ++img)
+        for (int64_t ch = 0; ch < c; ++ch)
+            for (int ky = 0; ky < kh; ++ky)
+                for (int kx = 0; kx < kw; ++kx)
+                    for (int oy = 0; oy < oh; ++oy)
+                        for (int ox = 0; ox < ow; ++ox) {
+                            const int iy = oy * stride - pad + ky;
+                            const int ix = ox * stride - pad + kx;
+                            out.at((ch * kh + ky) * kw + kx,
+                                   (img * oh + oy) * ow + ox) =
+                                iy >= 0 && iy < h && ix >= 0 && ix < w
+                                ? in.at(img, ch, iy, ix)
+                                : 0.0f;
+                        }
+    return out;
+}
+
 /**
- * The dispatched matmul / matmulTransposeB / im2col kernels are
- * bit-identical to their scalar-mode runs on deliberately ragged
- * shapes (dimensions coprime to every vector width, so the 4-wide
- * main loops always leave 1–3-element tails). On a scalar-only build
- * both runs use the same table and the check degenerates harmlessly.
+ * The dispatched matmul family and both im2col paths are bit-identical
+ * to reference loops on deliberately ragged shapes (dimensions coprime
+ * to every vector width, so the vector main loops always leave tails).
+ * The matmul references call the scalar kernel table in the library's
+ * row and l order, so on an AVX2 CPU this pins the dispatched variant
+ * against the scalar definition.
  */
 TEST(Ops, DispatchModesAreBitIdenticalOnRaggedShapes)
 {
     Rng rng(12);
     // k = 23 and n = 13 are the reduction / row extents the SIMD
-    // paths block by 4; neither divides evenly.
+    // paths block by 4 and 8; neither divides evenly.
     Tensor a({5, 23}), b({23, 13}), bt({13, 23});
     Tensor img({2, 3, 9, 7});
     a.fillGaussian(rng, 0.0f, 1.0f);
     b.fillGaussian(rng, 0.0f, 1.0f);
     bt.fillGaussian(rng, 0.0f, 1.0f);
     img.fillUniform(rng, -1.0f, 1.0f);
+    a.at(1, 4) = 0.0f;   // the axpy loops skip zero multipliers
+    const simd::Kernels &sk = simd::kernels(simd::Mode::Scalar);
+    const int64_t m = 5, k = 23, n = 13;
 
-    simd::setProcessMode(simd::Mode::Scalar);
-    const Tensor mm_ref = matmul(a, b);
-    const Tensor mt_ref = matmulTransposeB(a, bt);
-    const Tensor ta_ref = matmulTransposeA(transpose(a), b);
-    const Tensor im_ref = im2col(img, 3, 3, 1, 1);
-    const Tensor im_ref2 = im2col(img, 2, 2, 2, 0);   // strided path
+    Tensor mm_ref({m, n});
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t l = 0; l < k; ++l)
+            if (a.at(i, l) != 0.0f)
+                sk.axpyF32(mm_ref.data() + i * n, b.data() + l * n,
+                           a.at(i, l), n);
+    EXPECT_TRUE(bitEqual(matmul(a, b), mm_ref));
 
-    simd::setProcessMode(simd::Mode::Auto);
-    EXPECT_TRUE(matmul(a, b).equals(mm_ref));
-    EXPECT_TRUE(matmulTransposeB(a, bt).equals(mt_ref));
-    EXPECT_TRUE(matmulTransposeA(transpose(a), b).equals(ta_ref));
-    EXPECT_TRUE(im2col(img, 3, 3, 1, 1).equals(im_ref));
-    EXPECT_TRUE(im2col(img, 2, 2, 2, 0).equals(im_ref2));
+    Tensor mt_ref({m, n});
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            mt_ref.at(i, j) = static_cast<float>(
+                sk.dotF32(a.data() + i * k, bt.data() + j * k, k));
+    EXPECT_TRUE(bitEqual(matmulTransposeB(a, bt), mt_ref));
+
+    // matmulTransposeA(aT, b) with aT = {k, m}: output row l gathers
+    // column l of aT in ascending i.
+    const Tensor at = transpose(a);
+    Tensor ta_ref({m, n});
+    for (int64_t l = 0; l < m; ++l)
+        for (int64_t i = 0; i < k; ++i)
+            if (at.at(i, l) != 0.0f)
+                sk.axpyF32(ta_ref.data() + l * n, b.data() + i * n,
+                           at.at(i, l), n);
+    EXPECT_TRUE(bitEqual(matmulTransposeA(at, b), ta_ref));
+
+    EXPECT_TRUE(bitEqual(im2col(img, 3, 3, 1, 1),
+                         naiveIm2col(img, 3, 3, 1, 1)));
+    EXPECT_TRUE(bitEqual(im2col(img, 2, 2, 2, 0),    // strided path
+                         naiveIm2col(img, 2, 2, 2, 0)));
 }
 
 /** im2colInto reuses caller storage without changing the result. */
